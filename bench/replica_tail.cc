@@ -124,7 +124,6 @@ enableHealth(microsim::TierConfig &tier)
 {
     tier.healthTimeoutCycles = 3000; // ~10x the healthy offload path
     tier.ejectAfterFailures = 3;
-    tier.healthWindow = 16;
     tier.readmitAfterCycles = 1e6;
     tier.maxFailovers = 3;
 }

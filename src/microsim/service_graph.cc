@@ -544,11 +544,14 @@ ServiceGraph::run(double measureSeconds, double warmupSeconds)
                                0xed6e0000ULL + e);
     }
     edgeFaultSeq_.assign(edges_.size(), 0);
-    edgeBreakers_.assign(edges_.size(), EdgeBreaker{});
+    edgeBreakers_.clear();
+    edgeBreakers_.reserve(edges_.size());
     edgeRetryTokens_.clear();
     edgeRetryTokens_.reserve(edges_.size());
-    for (const EdgeConfig &edge : edges_)
+    for (const EdgeConfig &edge : edges_) {
+        edgeBreakers_.emplace_back(edge.breaker);
         edgeRetryTokens_.push_back(edge.retryBudget.cap); // start full
+    }
 
     for (size_t i = 0; i < specs_.size(); ++i) {
         AcceleratorTier *shared = nullptr;
@@ -910,8 +913,8 @@ void
 ServiceGraph::startChain(std::size_t edge, std::uint64_t parentToken,
                          sim::Tick parentDeadline)
 {
-    auto [pass, probe] = breakerGate(edge);
-    if (!pass) {
+    CircuitBreaker::Gate gate = edgeBreakers_[edge].gate(eq_->now());
+    if (!gate.pass) {
         // Open breaker: skip the subtree instead of piling onto a
         // sick callee. The caller degrades — it answers without this
         // child's contribution — rather than failing outright.
@@ -927,10 +930,13 @@ ServiceGraph::startChain(std::size_t edge, std::uint64_t parentToken,
     ec.parentToken = parentToken;
     ec.issuedAt = eq_->now();
     ec.deadline = splitDeadline(edge, parentDeadline);
-    ec.probe = probe;
+    ec.probe = gate.probe;
     chains_.emplace(id, ec);
-    if (measuring_)
+    if (measuring_) {
         ++metrics_.edges[edge].callsIssued;
+        if (gate.probe)
+            ++metrics_.edges[edge].breakerProbes;
+    }
     startAttempt(id);
 }
 
@@ -1170,9 +1176,22 @@ ServiceGraph::settleChain(std::uint64_t chainId, ChainOutcome outcome,
     // The breaker watches transport health: a delivered response is a
     // success even when the child's subtree failed — the callee is
     // answering, which is all the breaker protects.
-    if (cfg.breaker.enabled)
-        breakerRecord(ec.edge, outcome == ChainOutcome::Success,
-                      ec.probe);
+    switch (edgeBreakers_[ec.edge].record(outcome == ChainOutcome::Success,
+                                          ec.probe, eq_->now())) {
+      case CircuitBreaker::Transition::Opened:
+        if (measuring_)
+            ++metrics_.edges[ec.edge].breakerOpens;
+        warn("edge breaker " + cfg.caller + " -> " + cfg.callee +
+             " opened at tick " + std::to_string(eq_->now()) +
+             ": callers short-circuit to degraded responses");
+        break;
+      case CircuitBreaker::Transition::Closed:
+        if (measuring_)
+            ++metrics_.edges[ec.edge].breakerCloses;
+        break;
+      case CircuitBreaker::Transition::None:
+        break;
+    }
     if (cfg.retryBudget.enabled() && outcome == ChainOutcome::Success)
         edgeRetryTokens_[ec.edge] =
             std::min(cfg.retryBudget.cap,
@@ -1193,78 +1212,6 @@ ServiceGraph::settleChain(std::uint64_t chainId, ChainOutcome outcome,
         return;
     }
     panic("settleChain: unreachable outcome");
-}
-
-std::pair<bool, bool>
-ServiceGraph::breakerGate(std::size_t edge)
-{
-    const EdgeConfig &cfg = edges_[edge];
-    if (!cfg.breaker.enabled)
-        return {true, false};
-    EdgeBreaker &b = edgeBreakers_[edge];
-    switch (b.state) {
-      case EdgeBreaker::State::Closed:
-        return {true, false};
-      case EdgeBreaker::State::Open:
-        if (static_cast<double>(eq_->now() - b.openedAt) >=
-            cfg.breaker.probeAfterCycles) {
-            b.state = EdgeBreaker::State::HalfOpen;
-            if (measuring_)
-                ++metrics_.edges[edge].breakerProbes;
-            return {true, true};
-        }
-        return {false, false};
-      case EdgeBreaker::State::HalfOpen:
-        // A probe is already in flight; everyone else short-circuits.
-        return {false, false};
-    }
-    panic("ServiceGraph::breakerGate: unreachable state");
-}
-
-void
-ServiceGraph::breakerRecord(std::size_t edge, bool success, bool probe)
-{
-    const EdgeConfig &cfg = edges_[edge];
-    EdgeBreaker &b = edgeBreakers_[edge];
-    if (probe) {
-        ensure(b.state == EdgeBreaker::State::HalfOpen,
-               "breakerRecord: probe outcome without half-open state");
-        if (success) {
-            b.state = EdgeBreaker::State::Closed;
-            b.window.clear();
-            b.failures = 0;
-            if (measuring_)
-                ++metrics_.edges[edge].breakerCloses;
-        } else {
-            b.state = EdgeBreaker::State::Open;
-            b.openedAt = eq_->now();
-        }
-        return;
-    }
-    if (b.state != EdgeBreaker::State::Closed)
-        return; // stragglers from before the breaker opened
-    b.window.push_back(success);
-    if (!success)
-        ++b.failures;
-    if (b.window.size() > cfg.breaker.window) {
-        if (!b.window.front())
-            --b.failures;
-        b.window.pop_front();
-    }
-    if (b.window.size() >= cfg.breaker.minSamples &&
-        static_cast<double>(b.failures) /
-                static_cast<double>(b.window.size()) >=
-            cfg.breaker.openThreshold) {
-        b.state = EdgeBreaker::State::Open;
-        b.openedAt = eq_->now();
-        b.window.clear();
-        b.failures = 0;
-        if (measuring_)
-            ++metrics_.edges[edge].breakerOpens;
-        warn("edge breaker " + cfg.caller + " -> " + cfg.callee +
-             " opened at tick " + std::to_string(eq_->now()) +
-             ": callers short-circuit to degraded responses");
-    }
 }
 
 // --------------------------------------------------------------------
@@ -1295,21 +1242,7 @@ edgeFromConfig(const Config &cfg, const std::string &section,
     e.budgetSplit = budgetSplitFromString(
         cfg.getString(section, key("budget_split"), "even"));
     e.budgetWeight = cfg.getDouble(section, key("budget_weight"), 0.5);
-    // Presence of the threshold enables the breaker. The dependent
-    // keys are only consumed when it is present, so a breaker_window
-    // without a threshold surfaces as an unknown key.
-    if (cfg.has(section, key("breaker_open_threshold"))) {
-        e.breaker.enabled = true;
-        e.breaker.openThreshold =
-            cfg.getDouble(section, key("breaker_open_threshold"));
-        e.breaker.window = static_cast<std::uint32_t>(cfg.getCount(
-            section, key("breaker_window"), e.breaker.window));
-        e.breaker.minSamples = static_cast<std::uint32_t>(cfg.getCount(
-            section, key("breaker_min_samples"), e.breaker.minSamples));
-        e.breaker.probeAfterCycles = cfg.getDouble(
-            section, key("breaker_probe_after"),
-            e.breaker.probeAfterCycles);
-    }
+    e.breaker = breakerFromConfig(cfg, section, prefix);
     // Any fault key enables the plan. No short-circuit: every key must
     // be probed so unusedKeys() sees them all.
     auto parse_windows = [&cfg, &section](const std::string &wkey) {

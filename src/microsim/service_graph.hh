@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -132,7 +131,8 @@ struct EdgeConfig
     /**
      * Per-edge circuit breaker: while open the caller skips the
      * subtree and settles the call degraded instead of piling onto a
-     * sick callee. Reuses the intra-service BreakerConfig; requires
+     * sick callee. Runs the same CircuitBreaker as a service's
+     * offload path (see resilience.hh); requires
      * rpcTimeoutCycles > 0 (timeouts are the failure signal).
      */
     BreakerConfig breaker;
@@ -427,16 +427,6 @@ class ServiceGraph
         Failed,   //!< attempts/budget exhausted with no response
     };
 
-    /** Per-edge breaker instance (see BreakerConfig). */
-    struct EdgeBreaker
-    {
-        enum class State { Closed, Open, HalfOpen };
-        State state = State::Closed;
-        std::deque<bool> window;
-        std::uint32_t failures = 0;
-        sim::Tick openedAt = 0;
-    };
-
     std::uint32_t nodeIndex(const std::string &name) const;
     bool hasInEdge(std::uint32_t node) const;
 
@@ -466,9 +456,6 @@ class ServiceGraph
                             bool childDegraded);
     void settleChain(std::uint64_t chainId, ChainOutcome outcome,
                      bool childFailed, bool childDegraded);
-    /** @return pass this call through, and whether it is the probe. */
-    std::pair<bool, bool> breakerGate(std::size_t edge);
-    void breakerRecord(std::size_t edge, bool success, bool probe);
 
     std::uint64_t seed_;
     std::vector<ServiceSpec> specs_;
@@ -493,7 +480,7 @@ class ServiceGraph
     std::vector<std::uint64_t> edgeFaultSeq_;
     /** Per-edge retry-budget token levels. */
     std::vector<double> edgeRetryTokens_;
-    std::vector<EdgeBreaker> edgeBreakers_;
+    std::vector<CircuitBreaker> edgeBreakers_;
     bool measuring_ = false;
     bool ran_ = false;
     GraphMetrics metrics_;

@@ -11,42 +11,6 @@ namespace accel::microsim {
 using model::Strategy;
 using model::ThreadingDesign;
 
-namespace {
-
-/** Shared shape check: every cycle-cost knob must be finite and >= 0. */
-void
-requireCycles(double v, const char *field)
-{
-    require(std::isfinite(v) && v >= 0,
-            std::string(field) + " must be finite and >= 0");
-}
-
-} // namespace
-
-void
-RetryPolicy::validate() const
-{
-    requireCycles(timeoutCycles, "RetryPolicy.timeoutCycles");
-    require(maxAttempts >= 1, "RetryPolicy.maxAttempts must be >= 1");
-    requireCycles(backoffBaseCycles, "RetryPolicy.backoffBaseCycles");
-    require(std::isfinite(backoffFactor) && backoffFactor >= 1.0,
-            "RetryPolicy.backoffFactor must be finite and >= 1");
-    requireCycles(backoffCapCycles, "RetryPolicy.backoffCapCycles");
-}
-
-void
-BreakerConfig::validate() const
-{
-    require(window >= 1, "BreakerConfig.window must be >= 1");
-    require(minSamples >= 1, "BreakerConfig.minSamples must be >= 1");
-    require(minSamples <= window,
-            "BreakerConfig.minSamples must be <= window");
-    require(std::isfinite(openThreshold) && openThreshold > 0 &&
-                openThreshold <= 1,
-            "BreakerConfig.openThreshold must be in (0, 1]");
-    requireCycles(probeAfterCycles, "BreakerConfig.probeAfterCycles");
-}
-
 void
 ServiceConfig::validate() const
 {
@@ -112,36 +76,6 @@ validated(const ServiceSpec &spec)
 
 } // namespace
 
-// The old constructor pair survives as shims so out-of-tree callers
-// keep compiling (with a deprecation warning). Each delegates through
-// a temporary ServiceSpec — not through the other shim, which would
-// trip -Wdeprecated-declarations inside this file.
-ServiceSim::ServiceSim(const ServiceConfig &service,
-                       const AcceleratorConfig &accel,
-                       const WorkloadSpec &workload, std::uint64_t seed)
-    : ServiceSim(ServiceSpec()
-                     .service(service)
-                     .accelerator(accel)
-                     .workload(workload)
-                     .seed(seed),
-                 nullptr, nullptr, false)
-{
-}
-
-ServiceSim::ServiceSim(const ServiceConfig &service,
-                       const AcceleratorConfig &accel,
-                       const TierConfig &tier, const WorkloadSpec &workload,
-                       std::uint64_t seed)
-    : ServiceSim(ServiceSpec()
-                     .service(service)
-                     .accelerator(accel)
-                     .tier(tier)
-                     .workload(workload)
-                     .seed(seed),
-                 nullptr, nullptr, false)
-{
-}
-
 ServiceSim::ServiceSim(const ServiceSpec &spec)
     : ServiceSim(spec, nullptr, nullptr, false)
 {
@@ -167,7 +101,8 @@ ServiceSim::ServiceSim(const ServiceSpec &spec, sim::EventQueue *eq,
       sharedTier_(sharedTier != nullptr),
       serverMode_(serverMode),
       source_(spec.workload(), spec.seed()),
-      arrivalRng_(spec.seed() ^ 0xa771a15ULL, 0x6f70656e6c6f6fULL)
+      arrivalRng_(spec.seed() ^ 0xa771a15ULL, 0x6f70656e6c6f6fULL),
+      breaker_(cfg_.breaker)
 {
     threads_.resize(cfg_.threads);
     resume_.resize(cfg_.threads);
@@ -488,22 +423,21 @@ ServiceSim::handleKernel(size_t tid)
         return;
     }
 
-    bool probe = false;
-    if (cfg_.breaker.enabled) {
-        BreakerGate gate = breakerGate();
-        if (!gate.offload) {
-            // Breaker open: revert the kernel to host execution.
-            if (measuring_) {
-                ++metrics_.breakerFallbacks;
-                metrics_.fallbackHostCycles += k.hostCycles;
-            }
-            ctx.inflight->degraded = true;
-            runOnCore(tid, k.hostCycles,
-                      [this, tid]() { maybeNext(tid); }, k.tag);
-            return;
+    CircuitBreaker::Gate gate = breaker_.gate(eq_.now());
+    if (!gate.pass) {
+        // Breaker open: revert the kernel to host execution.
+        if (measuring_) {
+            ++metrics_.breakerFallbacks;
+            metrics_.fallbackHostCycles += k.hostCycles;
         }
-        probe = gate.probe;
+        ctx.inflight->degraded = true;
+        runOnCore(tid, k.hostCycles,
+                  [this, tid]() { maybeNext(tid); }, k.tag);
+        return;
     }
+    bool probe = gate.probe;
+    if (probe && measuring_)
+        ++metrics_.breakerProbes;
 
     if (measuring_)
         ++metrics_.offloadsIssued;
@@ -789,7 +723,7 @@ ServiceSim::issueAttempt(size_t tid, const KernelInvocation &k,
             }
             state->settled = true;
             eq_.cancelTimer(state->timer);
-            breakerRecord(/*success=*/true, probe);
+            recordOffloadOutcome(/*success=*/true, probe);
             state->resolve(OffloadOutcome::Accel);
         },
         transferPaidByHost);
@@ -808,13 +742,12 @@ ServiceSim::issueAttempt(size_t tid, const KernelInvocation &k,
                 "thread " + std::to_string(tid) + " attempt " +
                 std::to_string(attempt + 1) + " deadline at tick " +
                 std::to_string(eq_.now()));
-            breakerRecord(/*success=*/false, probe);
+            recordOffloadOutcome(/*success=*/false, probe);
 
             // A probe never retries, and an open breaker cuts the
             // retry chain short — both routes go straight to host.
             bool can_retry = !probe &&
-                attempt + 1 < cfg_.retry.maxAttempts &&
-                breakerState_ == BreakerState::Closed;
+                attempt + 1 < cfg_.retry.maxAttempts && breaker_.closed();
             if (can_retry) {
                 if (measuring_)
                     ++metrics_.offloadRetries;
@@ -846,71 +779,23 @@ ServiceSim::issueAttempt(size_t tid, const KernelInvocation &k,
         });
 }
 
-ServiceSim::BreakerGate
-ServiceSim::breakerGate()
-{
-    switch (breakerState_) {
-      case BreakerState::Closed:
-        return {true, false};
-      case BreakerState::Open:
-        if (static_cast<double>(eq_.now() - breakerOpenedAt_) >=
-            cfg_.breaker.probeAfterCycles) {
-            breakerState_ = BreakerState::HalfOpen;
-            if (measuring_)
-                ++metrics_.breakerProbes;
-            return {true, true};
-        }
-        return {false, false};
-      case BreakerState::HalfOpen:
-        // A probe is already in flight; everyone else stays on host.
-        return {false, false};
-    }
-    panic("breakerGate: unreachable state");
-}
-
 void
-ServiceSim::breakerRecord(bool success, bool probe)
+ServiceSim::recordOffloadOutcome(bool success, bool probe)
 {
-    if (!cfg_.breaker.enabled)
-        return;
-    if (probe) {
-        ensure(breakerState_ == BreakerState::HalfOpen,
-               "breakerRecord: probe outcome without half-open state");
-        if (success) {
-            breakerState_ = BreakerState::Closed;
-            breakerWindow_.clear();
-            breakerFailures_ = 0;
-            if (measuring_)
-                ++metrics_.breakerCloses;
-        } else {
-            breakerState_ = BreakerState::Open;
-            breakerOpenedAt_ = eq_.now();
-        }
-        return;
-    }
-    if (breakerState_ != BreakerState::Closed)
-        return; // stragglers from before the breaker opened
-    breakerWindow_.push_back(success);
-    if (!success)
-        ++breakerFailures_;
-    if (breakerWindow_.size() > cfg_.breaker.window) {
-        if (!breakerWindow_.front())
-            --breakerFailures_;
-        breakerWindow_.pop_front();
-    }
-    if (breakerWindow_.size() >= cfg_.breaker.minSamples &&
-        static_cast<double>(breakerFailures_) /
-                static_cast<double>(breakerWindow_.size()) >=
-            cfg_.breaker.openThreshold) {
-        breakerState_ = BreakerState::Open;
-        breakerOpenedAt_ = eq_.now();
-        breakerWindow_.clear();
-        breakerFailures_ = 0;
+    switch (breaker_.record(success, probe, eq_.now())) {
+      case CircuitBreaker::Transition::Opened:
         if (measuring_)
             ++metrics_.breakerOpens;
         warn("circuit breaker opened at tick " +
              std::to_string(eq_.now()) +
              ": offloads revert to host execution");
+        break;
+      case CircuitBreaker::Transition::Closed:
+        if (measuring_)
+            ++metrics_.breakerCloses;
+        break;
+      case CircuitBreaker::Transition::None:
+        break;
     }
 }
 

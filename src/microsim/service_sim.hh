@@ -36,67 +36,13 @@
 #include "microsim/autoscaler.hh"
 #include "microsim/metrics.hh"
 #include "microsim/request_gen.hh"
+#include "microsim/resilience.hh"
 #include "microsim/tier.hh"
 #include "model/params.hh"
 #include "sim/event_queue.hh"
 #include "util/logging.hh"
 
 namespace accel::microsim {
-
-/**
- * Per-offload deadline + retry policy (degraded-mode offload).
- *
- * timeoutCycles == 0 (the default) disables the whole resilience
- * layer: offloads wait for the device forever, exactly the pre-fault
- * behaviour. With a deadline, each attempt races a cancellable timer
- * against the device completion; expiry triggers capped exponential
- * backoff and, after maxAttempts, host fallback (or abandonment).
- */
-struct RetryPolicy
-{
-    /** Deadline per offload attempt in cycles (0 = never time out). */
-    double timeoutCycles = 0.0;
-
-    /** Total attempts per kernel, including the first. */
-    std::uint32_t maxAttempts = 1;
-
-    double backoffBaseCycles = 0.0; //!< delay before the first retry
-    double backoffFactor = 2.0;     //!< exponential growth per retry
-    double backoffCapCycles = 1e9;  //!< hard cap on any single backoff
-
-    /**
-     * After retry exhaustion, re-execute the kernel on the host. When
-     * false the kernel is abandoned: the request still completes but
-     * counts as failed, not goodput.
-     */
-    bool hostFallback = true;
-
-    /** True when the deadline/retry layer is engaged. */
-    bool active() const { return timeoutCycles > 0; }
-
-    /** @throws FatalError on out-of-domain values (names the field). */
-    void validate() const;
-};
-
-/**
- * Failure-rate circuit breaker. While closed, offload outcomes feed a
- * sliding window; when the observed failure fraction crosses
- * openThreshold the breaker opens and kernels revert to host
- * execution. After probeAfterCycles one probe offload is attempted
- * (half-open): success closes the breaker, failure re-opens it.
- * Requires RetryPolicy::active() — timeouts are the failure signal.
- */
-struct BreakerConfig
-{
-    bool enabled = false;
-    std::uint32_t window = 32;     //!< sliding outcome window size
-    std::uint32_t minSamples = 8;  //!< samples before evaluating
-    double openThreshold = 0.5;    //!< failure fraction that opens
-    double probeAfterCycles = 1e6; //!< open -> probe delay (sim cycles)
-
-    /** @throws FatalError on out-of-domain values (names the field). */
-    void validate() const;
-};
 
 /** Static description of a service instance. */
 struct ServiceConfig
@@ -208,37 +154,6 @@ class ServiceSim
      */
     ServiceSim(const ServiceSpec &spec, sim::EventQueue &eq,
                AcceleratorTier *sharedTier, bool serverMode);
-
-    /**
-     * @param service   instance configuration
-     * @param accel     accelerator device description
-     * @param workload  request mix
-     * @param seed      RNG seed (deterministic replay)
-     *
-     * @deprecated Construct through ServiceSpec instead; this shim
-     * delegates to the spec path bit-identically.
-     */
-    [[deprecated("construct via ServiceSpec (see service_spec.hh)")]]
-    ServiceSim(const ServiceConfig &service, const AcceleratorConfig &accel,
-               const WorkloadSpec &workload, std::uint64_t seed);
-
-    /**
-     * As above but with the accelerator behind a replicated tier.
-     * @p accel describes each replica; @p tier the replica count,
-     * dispatch policy, hedging, and health tracking. The default
-     * TierConfig (one replica, everything off) is the plain
-     * single-device constructor, bit for bit.
-     *
-     * @throws FatalError when hedging is combined with the Sync
-     *         design (reported via ServiceSpec::validate).
-     *
-     * @deprecated Construct through ServiceSpec instead; this shim
-     * delegates to the spec path bit-identically.
-     */
-    [[deprecated("construct via ServiceSpec (see service_spec.hh)")]]
-    ServiceSim(const ServiceConfig &service, const AcceleratorConfig &accel,
-               const TierConfig &tier, const WorkloadSpec &workload,
-               std::uint64_t seed);
 
     /**
      * Run the closed loop and return metrics for the measurement window.
@@ -453,22 +368,10 @@ class ServiceSim
 
     sim::Tick backoffTicks(std::uint32_t attempt) const;
 
-    // --- circuit breaker state machine ---
-    enum class BreakerState { Closed, Open, HalfOpen };
+    /** Feed one offload outcome to the breaker; count its transitions. */
+    void recordOffloadOutcome(bool success, bool probe);
 
-    struct BreakerGate
-    {
-        bool offload; //!< false: revert this kernel to the host
-        bool probe;   //!< this offload is the half-open probe
-    };
-
-    BreakerGate breakerGate();
-    void breakerRecord(bool success, bool probe);
-
-    BreakerState breakerState_ = BreakerState::Closed;
-    std::deque<bool> breakerWindow_;
-    std::uint32_t breakerFailures_ = 0;
-    sim::Tick breakerOpenedAt_ = 0;
+    CircuitBreaker breaker_;
 
     // Fault storms must not flood stderr: first-N + suppressed-count
     // (count-based so logs replay identically for a seed).

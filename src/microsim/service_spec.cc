@@ -187,15 +187,7 @@ ServiceSpec::fromConfig(const Config &cfg, const std::string &section)
         cfg.getDouble(section, "retry_backoff_cap", 1e9);
     svc.retry.hostFallback =
         cfg.getBool(section, "retry_host_fallback", true);
-    svc.breaker.enabled = cfg.has(section, "breaker_open_threshold");
-    svc.breaker.openThreshold =
-        cfg.getDouble(section, "breaker_open_threshold", 0.5);
-    svc.breaker.window = static_cast<std::uint32_t>(
-        cfg.getCount(section, "breaker_window", 32));
-    svc.breaker.minSamples = static_cast<std::uint32_t>(
-        cfg.getCount(section, "breaker_min_samples", 8));
-    svc.breaker.probeAfterCycles =
-        cfg.getDouble(section, "breaker_probe_after", 1e6);
+    svc.breaker = breakerFromConfig(cfg, section, "");
 
     svc.arrivalProgram = arrivalProgramFromConfig(cfg, section);
     svc.autoscaler = autoscalerFromConfig(cfg, section);

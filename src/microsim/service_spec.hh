@@ -8,8 +8,8 @@
  * policies, and the RNG seed — behind one fluent builder. It exists
  * because the ServiceSim constructor-overload set could not grow to
  * express "node in a ServiceGraph with an injected event queue and a
- * shared accelerator tier" without combinatorial explosion; the old
- * constructors survive only as deprecated delegating shims.
+ * shared accelerator tier" without combinatorial explosion; it replaced
+ * those constructors outright.
  *
  * Unlike the per-struct validate() methods (which throw on the first
  * problem), errors() collects *every* field-named problem at once, so
@@ -133,9 +133,9 @@ class ServiceSpec
      *     retry_backoff_cap = 2000
      *     retry_host_fallback = true
      *     breaker_open_threshold = 0.5 ; presence enables the breaker
-     *     breaker_window = 32
-     *     breaker_min_samples = 8
-     *     breaker_probe_after = 1e6
+     *     breaker_window = 32          ; these three only with the
+     *     breaker_min_samples = 8      ;  threshold (else: unknown
+     *     breaker_probe_after = 1e6    ;  key, see breakerFromConfig)
      *
      *     ; --- accelerator device ---
      *     accel_speedup = 10

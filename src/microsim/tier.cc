@@ -89,8 +89,6 @@ TierConfig::validate() const
             "TierConfig.healthTimeoutCycles must be finite and >= 0");
     require(ejectAfterFailures >= 1,
             "TierConfig.ejectAfterFailures must be >= 1");
-    require(ejectAfterFailures <= healthWindow,
-            "TierConfig.ejectAfterFailures must be <= healthWindow");
     require(std::isfinite(readmitAfterCycles) && readmitAfterCycles > 0.0,
             "TierConfig.readmitAfterCycles must be finite and > 0");
     require(hedge.enabled ? replicas >= 2 : true,
@@ -123,8 +121,6 @@ tierFromConfig(const Config &cfg, const std::string &section)
     }
     tier.ejectAfterFailures = static_cast<std::uint32_t>(
         cfg.getDouble(section, "tier_eject_after", 3.0));
-    tier.healthWindow = static_cast<std::uint32_t>(
-        cfg.getDouble(section, "tier_health_window", 16.0));
     tier.readmitAfterCycles =
         cfg.getDouble(section, "tier_readmit_after", 1e6);
     tier.maxFailovers = static_cast<std::uint32_t>(
@@ -747,9 +743,7 @@ AcceleratorTier::recordFailure(size_t replica)
     }
     if (h.state == ReplicaState::Ejected)
         return; // already out; nothing new to decide
-    h.consecutiveFailures =
-        std::min(h.consecutiveFailures + 1, cfg_.healthWindow);
-    if (h.consecutiveFailures >= cfg_.ejectAfterFailures)
+    if (++h.consecutiveFailures >= cfg_.ejectAfterFailures)
         ejectReplica(replica);
 }
 

@@ -107,13 +107,6 @@ struct TierConfig
     /** Consecutive watchdog failures that eject a replica. */
     std::uint32_t ejectAfterFailures = 3;
 
-    /**
-     * Recent per-replica outcomes tracked for the failure-fraction
-     * stat; the consecutive-failure run must fit inside it
-     * (ejectAfterFailures <= healthWindow).
-     */
-    std::uint32_t healthWindow = 16;
-
     /** Ejection -> readmission-probe delay in cycles. */
     double readmitAfterCycles = 1e6;
 
@@ -152,7 +145,6 @@ struct TierConfig
  *     tier_hedge_delay = 5000           ; presence enables hedging
  *     tier_health_timeout = 20000       ; presence enables health/failover
  *     tier_eject_after = 3
- *     tier_health_window = 16
  *     tier_readmit_after = 1e6
  *     tier_max_failovers = 3
  *     tier_seed = 7

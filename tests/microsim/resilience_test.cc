@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for degraded-mode offload: deadlines, retry/backoff, host
- * fallback, the circuit breaker, and deterministic fault replay.
+ * fallback, the circuit breaker (as a unit and inside ServiceSim), and
+ * deterministic fault replay.
  */
 
 #include <gtest/gtest.h>
 
 #include "faults/fault_plan.hh"
 #include "microsim/ab_test.hh"
+#include "microsim/resilience.hh"
 #include "microsim/service_sim.hh"
 #include "microsim/service_spec.hh"
 #include "util/logging.hh"
@@ -375,6 +377,146 @@ TEST(Resilience, ValidationRejectsDegeneratePolicies)
     cfg.breaker.enabled = true;
     cfg.breaker.openThreshold = 0.0;
     EXPECT_THROW(cfg.validate(), FatalError);
+}
+
+// --- CircuitBreaker as a unit (the state machine both ServiceSim and
+// --- ServiceGraph edges run) ---
+
+using Transition = CircuitBreaker::Transition;
+
+BreakerConfig
+breakerConfig()
+{
+    BreakerConfig b;
+    b.enabled = true;
+    b.window = 4;
+    b.minSamples = 2;
+    b.openThreshold = 0.5;
+    b.probeAfterCycles = 100;
+    return b;
+}
+
+/** Trip @p b at tick @p now with failures (minSamples >= 2 results). */
+void
+trip(CircuitBreaker &b, sim::Tick now)
+{
+    ASSERT_EQ(b.record(false, false, now), Transition::None);
+    ASSERT_EQ(b.record(false, false, now), Transition::Opened);
+    ASSERT_FALSE(b.closed());
+}
+
+TEST(CircuitBreaker, DisabledPassesEverythingAndIgnoresResults)
+{
+    BreakerConfig cfg = breakerConfig();
+    cfg.enabled = false;
+    CircuitBreaker b(cfg);
+    for (int i = 0; i < 16; ++i)
+        EXPECT_EQ(b.record(false, false, 10), Transition::None);
+    EXPECT_TRUE(b.closed());
+    CircuitBreaker::Gate g = b.gate(1000);
+    EXPECT_TRUE(g.pass);
+    EXPECT_FALSE(g.probe);
+}
+
+TEST(CircuitBreaker, HoldsUntilMinSamples)
+{
+    BreakerConfig cfg = breakerConfig();
+    cfg.minSamples = 3;
+    CircuitBreaker b(cfg);
+    // 100% failures, but only two results: not enough to judge.
+    EXPECT_EQ(b.record(false, false, 0), Transition::None);
+    EXPECT_EQ(b.record(false, false, 0), Transition::None);
+    EXPECT_TRUE(b.closed());
+    EXPECT_EQ(b.record(false, false, 0), Transition::Opened);
+}
+
+TEST(CircuitBreaker, OpensExactlyAtTheThreshold)
+{
+    BreakerConfig cfg = breakerConfig();
+    cfg.minSamples = 4;
+    CircuitBreaker b(cfg);
+    // 1/4 failed, then 1/4 still (a success replaces nothing yet):
+    // both below 0.5.
+    EXPECT_EQ(b.record(true, false, 0), Transition::None);
+    EXPECT_EQ(b.record(false, false, 0), Transition::None);
+    EXPECT_EQ(b.record(true, false, 0), Transition::None);
+    EXPECT_EQ(b.record(true, false, 0), Transition::None); // 1/4
+    EXPECT_TRUE(b.closed());
+    // Window [F T T F] = 2/4 = 0.5 >= threshold: opens now, not later.
+    EXPECT_EQ(b.record(false, false, 7), Transition::Opened);
+    EXPECT_FALSE(b.closed());
+}
+
+TEST(CircuitBreaker, WindowForgetsResultsOlderThanItsSize)
+{
+    BreakerConfig cfg = breakerConfig();
+    cfg.minSamples = 4;
+    cfg.openThreshold = 0.75;
+    CircuitBreaker b(cfg);
+    // Two failures, then four successes push both out of the window.
+    EXPECT_EQ(b.record(false, false, 0), Transition::None);
+    EXPECT_EQ(b.record(false, false, 0), Transition::None);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(b.record(true, false, 0), Transition::None);
+    // Were the evicted failures still counted, two fresh ones would
+    // make 4 failures in a window of 4 and trip the breaker. With
+    // eviction the window is [T T F F] = 0.5 < 0.75.
+    EXPECT_EQ(b.record(false, false, 0), Transition::None);
+    EXPECT_EQ(b.record(false, false, 0), Transition::None);
+    EXPECT_TRUE(b.closed());
+    // [T F F F] = 0.75: the third fresh failure trips it.
+    EXPECT_EQ(b.record(false, false, 0), Transition::Opened);
+}
+
+TEST(CircuitBreaker, IgnoresResultsWhileOpenOrHalfOpen)
+{
+    CircuitBreaker b(breakerConfig());
+    trip(b, 0);
+    // Stragglers that were in flight when the breaker opened.
+    EXPECT_EQ(b.record(true, false, 10), Transition::None);
+    EXPECT_EQ(b.record(false, false, 10), Transition::None);
+    EXPECT_FALSE(b.gate(50).pass); // still cooling down
+    CircuitBreaker::Gate probe = b.gate(100);
+    ASSERT_TRUE(probe.pass);
+    ASSERT_TRUE(probe.probe);
+    // Half-open: everyone but the probe is rejected, and non-probe
+    // results change nothing.
+    EXPECT_FALSE(b.gate(101).pass);
+    EXPECT_EQ(b.record(true, false, 101), Transition::None);
+    EXPECT_FALSE(b.closed());
+    EXPECT_FALSE(b.gate(102).pass);
+}
+
+TEST(CircuitBreaker, ProbeSuccessClosesOntoAFreshWindow)
+{
+    CircuitBreaker b(breakerConfig());
+    trip(b, 0);
+    ASSERT_TRUE(b.gate(100).probe);
+    EXPECT_EQ(b.record(true, true, 120), Transition::Closed);
+    EXPECT_TRUE(b.closed());
+    CircuitBreaker::Gate g = b.gate(121);
+    EXPECT_TRUE(g.pass);
+    EXPECT_FALSE(g.probe);
+    // The failures that tripped it are gone: one new failure is below
+    // minSamples, the second reaches it.
+    EXPECT_EQ(b.record(false, false, 130), Transition::None);
+    EXPECT_EQ(b.record(false, false, 131), Transition::Opened);
+}
+
+TEST(CircuitBreaker, ProbeFailureReopensAndRestartsTheClock)
+{
+    CircuitBreaker b(breakerConfig());
+    trip(b, 0);
+    ASSERT_TRUE(b.gate(100).probe);
+    // A failed probe re-opens without counting as a fresh trip.
+    EXPECT_EQ(b.record(false, true, 150), Transition::None);
+    EXPECT_FALSE(b.closed());
+    // The cool-down now runs from the probe's failure at 150, not from
+    // the original trip at 0.
+    EXPECT_FALSE(b.gate(249).pass);
+    CircuitBreaker::Gate g = b.gate(250);
+    EXPECT_TRUE(g.pass);
+    EXPECT_TRUE(g.probe);
 }
 
 } // namespace

@@ -3,7 +3,7 @@
  * ServiceSpec: the unified construction API. Covers the fluent
  * builder, all-at-once error aggregation, the relocated hedge+Sync
  * cross-check, fromConfig round-tripping against hand-built specs,
- * and bit-parity of the deprecated constructor shims.
+ * and fromConfig's rejection of keys it does not consume.
  */
 
 #include <gtest/gtest.h>
@@ -272,37 +272,28 @@ TEST(ServiceSpec, FromConfigListsEveryUnknownKey)
     }
 }
 
-TEST(ServiceSpec, DeprecatedConstructorShimsAreBitIdentical)
+TEST(ServiceSpec, FromConfigRejectsBreakerKeysWithoutThreshold)
 {
-    ServiceMetrics via_spec = ServiceSim(ServiceSpec()
-                                             .service(service())
-                                             .accelerator(device())
-                                             .workload(workload())
-                                             .seed(11))
-                                  .run(0.02, 0.005);
-
-    TierConfig tier;
-    tier.replicas = 2;
-    ServiceMetrics tier_via_spec = ServiceSim(ServiceSpec()
-                                                  .service(service())
-                                                  .accelerator(device())
-                                                  .tier(tier)
-                                                  .workload(workload())
-                                                  .seed(11))
-                                       .run(0.02, 0.005);
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    // deprecated-ok: this test is the shim-parity proof itself.
-    ServiceMetrics via_shim =
-        ServiceSim(service(), device(), workload(), 11).run(0.02, 0.005);
-    ServiceMetrics tier_via_shim =
-        ServiceSim(service(), device(), tier, workload(), 11)
-            .run(0.02, 0.005);
-#pragma GCC diagnostic pop
-
-    EXPECT_EQ(via_spec.summaryJson(), via_shim.summaryJson());
-    EXPECT_EQ(tier_via_spec.summaryJson(), tier_via_shim.summaryJson());
+    // breaker_open_threshold enables the breaker; its dependent keys
+    // mean nothing without it. A service section follows the edge rule
+    // and rejects them by name instead of silently ignoring them.
+    Config cfg = Config::fromString(
+        "[svc]\n"
+        "cores = 1\n"
+        "threads = 1\n"
+        "threading = sync\n"
+        "clock_ghz = 1.0\n"
+        "retry_timeout = 2000\n"
+        "work_non_kernel_cycles = 1000\n"
+        "breaker_window = 64\n");
+    try {
+        ServiceSpec::fromConfig(cfg, "svc");
+        FAIL() << "breaker_window without a threshold accepted";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("breaker_window"), std::string::npos);
+        EXPECT_NE(msg.find("svc"), std::string::npos);
+    }
 }
 
 } // namespace

@@ -271,7 +271,6 @@ TEST(AcceleratorTier, EjectionReadmissionLifecycle)
     tier.policy = DispatchPolicy::RoundRobin;
     tier.healthTimeoutCycles = 1000;
     tier.ejectAfterFailures = 2;
-    tier.healthWindow = 16;
     tier.readmitAfterCycles = 5000;
     tier.replicaFaultPlans = {nullptr, deadPlan(0, 12000)};
 
@@ -412,8 +411,7 @@ TEST(AcceleratorTier, ValidationNamesTheField)
     expectFieldNamed(
         [] {
             TierConfig t;
-            t.ejectAfterFailures = 20;
-            t.healthWindow = 16;
+            t.ejectAfterFailures = 0;
             t.validate();
         },
         "ejectAfterFailures");
@@ -486,7 +484,6 @@ TEST(AcceleratorTier, TierFromConfigRoundTrip)
         "tier_hedge_delay = 5500\n"
         "tier_health_timeout = 20000\n"
         "tier_eject_after = 2\n"
-        "tier_health_window = 8\n"
         "tier_readmit_after = 2e6\n"
         "tier_max_failovers = 1\n"
         "tier_seed = 9\n"
@@ -499,7 +496,6 @@ TEST(AcceleratorTier, TierFromConfigRoundTrip)
     EXPECT_DOUBLE_EQ(t.hedge.delayCycles, 5500);
     EXPECT_DOUBLE_EQ(t.healthTimeoutCycles, 20000);
     EXPECT_EQ(t.ejectAfterFailures, 2u);
-    EXPECT_EQ(t.healthWindow, 8u);
     EXPECT_DOUBLE_EQ(t.readmitAfterCycles, 2e6);
     EXPECT_EQ(t.maxFailovers, 1u);
     EXPECT_EQ(t.seed, 9u);
