@@ -20,6 +20,7 @@ template <typename F> void parallelFor(std::size_t n, F &&f);
 struct EventQueue {
     void scheduleIn(int delay, sim::InlineCallback &&cb);
     void run();
+    void runAll();
 };
 
 std::uint64_t mix(std::uint64_t x);
@@ -106,6 +107,16 @@ driveLoop(Worker &w)
     std::uint64_t done = 0;
     w.eq_.scheduleIn(3, [&] { ++done; });
     w.eq_.run();
+    w.stats_.busyCycles += static_cast<double>(done);
+}
+
+// The same shape draining the queue with runAll().
+void
+drainLoop(Worker &w)
+{
+    std::uint64_t done = 0;
+    w.eq_.scheduleIn(3, [&] { ++done; });
+    w.eq_.runAll();
     w.stats_.busyCycles += static_cast<double>(done);
 }
 

@@ -1,11 +1,44 @@
 #!/usr/bin/env python3
-"""accel-analyze: AST-grade semantic invariant checker for the
-Accelerometer reproduction.
+"""accel-analyze: the static-analysis wall for the Accelerometer
+reproduction.
 
-Where tools/lint/accel_lint.py enforces token-level determinism
-discipline, this tool checks four semantic invariants the token lint
-cannot see. They are exactly the invariants the repo's reproducibility
-and honest-accounting claims rest on (ROADMAP "Recent", DESIGN.md):
+The repo's core correctness claim is determinism under concurrency:
+every experiment is a pure function of its seed, and parallel fan-out
+must stay bit-identical to the serial path. Its accounting claims rest
+on every config knob being validated and every counter reaching a
+report (ROADMAP "Recent", DESIGN.md section 6b). Ten rules enforce
+both, in two families.
+
+Token rules: patterns over comment/string-stripped source.
+
+  banned-random      no rand()/srand()/std::random_device/std::mt19937
+                     in simulation/model/stats code; all randomness
+                     flows through util/rng.hh (seeded PCG32).
+  banned-clock       no wall-clock reads (steady_clock::now, time(),
+                     clock(), gettimeofday, ...) in simulation/model/
+                     stats/kernel code; simulated time comes from the
+                     event clock, wall time from util/wall_timer.hh.
+  unordered-float-iter
+                     no iteration over std::unordered_{map,set} that
+                     feeds a floating-point accumulation; hash-order
+                     is implementation-defined, so such reductions are
+                     not reproducible across platforms or libstdc++
+                     versions.
+  fn-by-value        no by-value callable parameters (std::function,
+                     sim::InlineFunction, sim::InlineCallback) in
+                     function signatures; pass const& (borrow) or &&
+                     (sink) so hot paths never pay a silent
+                     type-erased copy or move.
+  parfor-pushback    no push_back/emplace_back inside parallelFor
+                     bodies; parallel loop bodies must write to
+                     pre-sized slots indexed by loop index, which is
+                     what makes results independent of worker count.
+  header-standalone  every header under src/ compiles on its own
+                     (IWYU-lite), so include order can never change
+                     behaviour.
+
+Structural rules: scope and cross-file reasoning over the extracted
+functions, structs and lambdas.
 
   dangling-capture   A lambda that captures by reference (default [&]
                      or explicit [&x]) and flows into a *deferred*
@@ -16,10 +49,10 @@ and honest-accounting claims rest on (ROADMAP "Recent", DESIGN.md):
                      enclosing frame. The frame returns before the
                      event runs, so those captures dangle. Frames that
                      drive the event loop themselves (call run /
-                     runUntil / runFor / runNext on a queue) outlive
+                     runNext / runUntil / runAll on a queue) outlive
                      their events and are exempt; that is why tests
                      and benches may schedule [&] lambdas and then
-                     eq.run() in the same function.
+                     eq.runAll() in the same function.
 
   rng-discipline     RNG advances that silently break ACCEL_JOBS
                      parity or seeded replay:
@@ -32,7 +65,7 @@ and honest-accounting claims rest on (ROADMAP "Recent", DESIGN.md):
                          draws);
                        * advances on a static/global Rng;
                        * std::*_distribution draws in determinism-
-                         scoped code (the token lint bans engines, but
+                         scoped code (banned-random bans engines, but
                          a distribution wrapping a sanctioned engine
                          is still libstdc++-specific and unportable).
                      The approved patterns are: a function-local Rng
@@ -61,32 +94,37 @@ and honest-accounting claims rest on (ROADMAP "Recent", DESIGN.md):
                      constant). Self-updates (x.f = max(x.f, v)) and
                      warmup resets do not count as reporting.
 
+Scope: path arguments feed every rule. Without them each family checks
+its own default trees (TOKEN_PATHS, STRUCTURAL_PATHS).
+
 Frontends: with the libclang Python bindings importable and a
-compile_commands.json (-p builddir), declarations are type-resolved by
-the real clang AST and used to refine the structural analysis (drop
-rng-discipline findings whose receiver is not an accel::Rng, confirm
-callback-typed parameters). Without libclang the tool runs its
-built-in structural frontend — a comment/string-stripped lexer with
+compile_commands.json (-p builddir), the real clang AST refines two
+rules: fn-by-value keeps only lines holding a by-value callable
+parameter declaration, and rng-discipline drops advance findings whose
+receiver is not an accel::Rng. Without libclang the tool runs its
+built-in frontend — a comment/string-stripped lexer with
 balanced-bracket function/struct/lambda extraction — whose behaviour
-is pinned by the fixture corpus in tests/tools/fixtures/analyze/.
+is pinned by the fixture corpora in tests/tools/fixtures/.
 `--frontend libclang` refuses to degrade: it exits 2 with a clear
 "needs libclang" error instead of silently passing.
 
-Suppressions reuse the repo-wide convention, on the offending line or
-the line above:
+Any finding can be suppressed per line with a justification comment:
 
     // accel-lint: allow(<rule>) -- one-line reason
+
+on the offending line or the comment block directly above it (for
+header-standalone: anywhere in the header's first 15 lines).
 
 Baseline: findings whose (file, rule, normalized line text)
 fingerprint appears in the baseline file (default
 tools/analyze/baseline.json) are reported but do not fail the run.
 The checked-in baseline is empty — the tree is analyzer-clean — and
-should stay that way; baselining is an escape hatch for landing the
-analyzer on a dirty tree, not a suppression mechanism.
+should stay that way; baselining is an escape hatch for landing a rule
+on a dirty tree, not a suppression mechanism.
 
 --audit-suppressions reports stale allow() comments: a suppression
-naming one of this tool's rules on a line where that rule no longer
-fires. (accel_lint.py has the same mode for its own rules.)
+naming a rule that ran on its file on a line where that rule no longer
+fires.
 
 Exit status: 0 clean (only suppressed/baselined findings), 1 when any
 live finding remains (or any stale suppression in audit mode), 2 on
@@ -94,26 +132,53 @@ usage or environment errors.
 """
 
 import argparse
+import concurrent.futures
+import functools
 import hashlib
 import json
 import os
 import re
+import subprocess
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import sarif_util  # noqa: E402
 
 TOOL_NAME = "accel-analyze"
-TOOL_VERSION = "1.0.0"
+TOOL_VERSION = "1.1.0"
 
-ALL_RULES = (
+TOKEN_RULES = (
+    "banned-random",
+    "banned-clock",
+    "unordered-float-iter",
+    "fn-by-value",
+    "parfor-pushback",
+    "header-standalone",
+)
+
+STRUCTURAL_RULES = (
     "dangling-capture",
     "rng-discipline",
     "validate-coverage",
     "metrics-accounting",
 )
 
+ALL_RULES = TOKEN_RULES + STRUCTURAL_RULES
+
 RULE_DESCRIPTIONS = {
+    "banned-random": "ambient randomness outside util/rng.hh breaks "
+                     "seed-purity",
+    "banned-clock": "wall-clock reads in simulation code bypass the "
+                    "event clock",
+    "unordered-float-iter": "hash-order iteration feeding a float "
+                            "accumulation is not reproducible",
+    "fn-by-value": "by-value callable parameters pay a type-erased "
+                   "copy on every call",
+    "parfor-pushback": "push_back in a parallelFor body orders "
+                       "results by completion, not index",
+    "header-standalone": "every header under src/ must compile on "
+                         "its own",
     "dangling-capture":
         "by-reference lambda capture escapes into a deferred callback "
         "sink while referencing locals of the enclosing frame",
@@ -130,9 +195,13 @@ RULE_DESCRIPTIONS = {
 }
 
 CXX_EXTENSIONS = (".cc", ".cpp", ".cxx", ".hh", ".h", ".hpp")
+HEADER_EXTENSIONS = (".hh", ".hpp", ".h")
 
-# Directories whose code must be free of std::<random> distribution
-# draws (mirrors accel_lint.DETERMINISM_SCOPE).
+# Directories (relative to the repo root) whose code must be free of
+# ambient randomness, wall-clock reads and std::<random> distribution
+# draws. util/ is deliberately NOT in scope: util/rng.{hh,cc} and
+# util/wall_timer.{hh,cc} are the two sanctioned owners of those
+# effects.
 DETERMINISM_SCOPE = (
     "src/sim",
     "src/faults",
@@ -143,8 +212,17 @@ DETERMINISM_SCOPE = (
     "src/kernels",
 )
 
-# Default analysis scope: the trees required to be analyzer-clean.
-DEFAULT_PATHS = ("src", "bench", "examples", "tools")
+# Default scope of each rule family when no paths are given. The token
+# rules police every compiled tree, tests included. The structural
+# rules skip tests/: test frames hand [&] lambdas to helpers and nest
+# them inside frames that drive the loop, which the frame-local
+# loop-driver exemption cannot see, so dangling-capture would report
+# false findings there (on 7 lines of tests/microsim/tier_test.cc,
+# from nested lambdas in frames that drive the loop). tests/ also
+# stays out of metrics-accounting's "reported somewhere" scope: a
+# counter only a test reads is still lost in every real run.
+TOKEN_PATHS = ("src", "tests", "bench", "examples")
+STRUCTURAL_PATHS = ("src", "bench", "examples", "tools")
 
 # Event-queue sink methods that defer a callback past the caller's
 # frame. Extended automatically with every function in the analyzed
@@ -157,7 +235,7 @@ BUILTIN_SINKS = frozenset({
 
 # A frame that calls one of these drives the event loop itself, so its
 # locals outlive the scheduled events.
-LOOP_DRIVERS = ("run", "runUntil", "runFor", "runNext")
+LOOP_DRIVERS = ("run", "runNext", "runUntil", "runAll")
 
 # accel::Rng state-advancing methods (util/rng.hh).
 RNG_ADVANCE_METHODS = ("next64", "next", "uniform", "below64", "below",
@@ -204,12 +282,15 @@ class Finding:
 
 
 # ---------------------------------------------------------------------
-# Lexing (same semantics as accel_lint: positions are preserved)
+# Lexing (positions are preserved)
 # ---------------------------------------------------------------------
 
 def strip_comments_and_strings(text):
     """Blank out comments, string and char literals, preserving line
-    structure and column offsets. Collect suppressions first."""
+    structure and column offsets so findings keep exact positions.
+
+    Suppression comments must be collected *before* calling this.
+    """
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -232,6 +313,8 @@ def strip_comments_and_strings(text):
         elif c == "R" and nxt == '"' and (i == 0 or
                                           not (text[i - 1].isalnum() or
                                                text[i - 1] == "_")):
+            # Raw string literal: R"delim( ... )delim" — unescaped
+            # quotes and backslashes inside must not desync the lexer.
             j = i + 2
             while j < n and text[j] not in "(\n":
                 j += 1
@@ -262,27 +345,36 @@ def strip_comments_and_strings(text):
     return "".join(out)
 
 
-def suppressed_rules_by_line(text):
-    """Line number -> set of rule names allowed on that line (an
-    allow() in a comment-only line covers the next code line)."""
+def allow_comments(text):
+    """Yield (lineno, rules, after) for every allow() comment. after is
+    the first code line following the comment block when the allow()
+    sits on a comment-only line, so a justification may wrap over
+    several comment lines; it is None for an allow() on a code line."""
     lines = text.splitlines()
-    allowed = {}
-
-    def add(lineno, rules):
-        allowed.setdefault(lineno, set()).update(rules)
-
     for lineno, line in enumerate(lines, start=1):
         m = SUPPRESS_RE.search(line)
         if not m:
             continue
         rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
-        add(lineno, rules)
+        after = None
         if line.strip().startswith("//"):
             nxt = lineno
             while nxt < len(lines) and \
                     lines[nxt].strip().startswith("//"):
                 nxt += 1
-            add(nxt + 1, rules)
+            after = nxt + 1
+        yield lineno, rules, after
+
+
+def suppressed_rules_by_line(text):
+    """Line number -> set of rule names allowed on that line. An
+    allow() covers its own line and, from a comment block, the first
+    code line after the block."""
+    allowed = {}
+    for lineno, rules, after in allow_comments(text):
+        for ln in (lineno, after):
+            if ln is not None:
+                allowed.setdefault(ln, set()).update(rules)
     return allowed
 
 
@@ -793,6 +885,10 @@ def enclosing_call_names(clean, pos, limit=4):
 # ---------------------------------------------------------------------
 
 class FileCtx:
+    """One source file: its text, allow() map and the comment/string-
+    stripped copy every rule reads. The structural extraction runs on
+    first use, so files only the token rules check never pay for it."""
+
     def __init__(self, root, path):
         self.path = path
         self.rel = os.path.relpath(path, root)
@@ -800,14 +896,18 @@ class FileCtx:
             self.text = f.read()
         self.allowed = suppressed_rules_by_line(self.text)
         self.clean = strip_comments_and_strings(self.text)
-        self.functions = find_functions(self.clean)
-        self.lambdas = find_lambdas(self.clean)
-        self.structs = None  # lazy
 
-    def get_structs(self):
-        if self.structs is None:
-            self.structs = find_structs(self.clean)
-        return self.structs
+    @functools.cached_property
+    def functions(self):
+        return find_functions(self.clean)
+
+    @functools.cached_property
+    def lambdas(self):
+        return find_lambdas(self.clean)
+
+    @functools.cached_property
+    def structs(self):
+        return find_structs(self.clean)
 
     def is_suppressed(self, lineno, rule):
         return (rule in self.allowed.get(lineno, ()) or
@@ -818,6 +918,269 @@ class FileCtx:
         if 1 <= lineno <= len(lines):
             return lines[lineno - 1]
         return ""
+
+
+def in_determinism_scope(rel):
+    return any(rel == d or rel.startswith(d + "/")
+               for d in DETERMINISM_SCOPE)
+
+
+# ---------------------------------------------------------------------
+# Token rules
+# ---------------------------------------------------------------------
+
+RANDOM_PATTERNS = (
+    (re.compile(r"(?<![\w.>])s?rand\s*\("), "rand()/srand()"),
+    (re.compile(r"(?<![\w.>])random\s*\(\s*\)"), "random()"),
+    (re.compile(r"(?<![\w.>])drand48\s*\("), "drand48()"),
+    (re.compile(r"std\s*::\s*random_device"), "std::random_device"),
+    (re.compile(r"std\s*::\s*(mt19937(_64)?|minstd_rand0?|ranlux\w+|"
+                r"default_random_engine|knuth_b)\b"),
+     "std <random> engine"),
+)
+
+CLOCK_PATTERNS = (
+    (re.compile(r"(steady_clock|system_clock|high_resolution_clock)"
+                r"\s*::\s*now\s*\("), "std::chrono clock read"),
+    (re.compile(r"(?<![\w.:>])gettimeofday\s*\("), "gettimeofday()"),
+    (re.compile(r"(?<![\w.:>])clock_gettime\s*\("), "clock_gettime()"),
+    (re.compile(r"(?<![\w.:>])clock\s*\(\s*\)"), "clock()"),
+    (re.compile(r"(?<![\w.:>])time\s*\(\s*(NULL|nullptr|0)?\s*\)"),
+     "time()"),
+)
+
+
+def check_patterns(ctx, rule, patterns, findings):
+    for rx, what in patterns:
+        for m in rx.finditer(ctx.clean):
+            lineno = line_of(ctx.clean, m.start())
+            findings.append(Finding(
+                ctx.rel, lineno, rule,
+                "%s is nondeterministic here; use util/rng.hh" % what
+                if rule == "banned-random" else
+                "%s bypasses the event clock; use util/wall_timer.hh "
+                "or sim::EventQueue::now()" % what,
+                suppressed=ctx.is_suppressed(lineno, rule)))
+
+
+RANGE_FOR_RE = re.compile(r"\bfor\s*\(")
+UNORDERED_DECL_RE = re.compile(
+    r"std\s*::\s*unordered_(?:map|set|multimap|multiset)\s*<")
+FLOAT_ACCUM_RE = re.compile(r"[+\-*]=|\+\+")
+
+
+def unordered_decl_names(clean):
+    """Names of variables declared with an unordered container type."""
+    names = set()
+    for m in UNORDERED_DECL_RE.finditer(clean):
+        close = match_balanced(clean, clean.index("<", m.end() - 1),
+                               "<", ">")
+        if close is None:
+            continue
+        rest = clean[close:close + 160]
+        dm = re.match(r"\s*[&*]*\s*([A-Za-z_]\w*)", rest)
+        if dm and dm.group(1) not in ("const",):
+            names.add(dm.group(1))
+    return names
+
+
+def loop_body_span(clean, paren_close):
+    """Span of the statement following a for(...) header."""
+    i = paren_close
+    n = len(clean)
+    while i < n and clean[i] in " \t\n":
+        i += 1
+    if i >= n:
+        return (i, i)
+    if clean[i] == "{":
+        end = match_balanced(clean, i, "{", "}")
+        return (i, end if end is not None else n)
+    end = clean.find(";", i)
+    return (i, end + 1 if end != -1 else n)
+
+
+def check_unordered_float_iter(ctx, findings):
+    clean = ctx.clean
+    decls = unordered_decl_names(clean)
+    for m in RANGE_FOR_RE.finditer(clean):
+        open_paren = clean.index("(", m.end() - 1)
+        close = match_balanced(clean, open_paren, "(", ")")
+        if close is None:
+            continue
+        header = clean[open_paren + 1:close - 1]
+        if ";" in header or ":" not in header:
+            continue  # classic for-loop or malformed
+        range_expr = header.rsplit(":", 1)[1].strip()
+        base = re.match(r"[A-Za-z_]\w*", range_expr)
+        over_unordered = ("unordered_" in range_expr or
+                          (base and base.group(0) in decls))
+        if not over_unordered:
+            continue
+        body_start, body_end = loop_body_span(clean, close)
+        body = clean[body_start:body_end]
+        if not FLOAT_ACCUM_RE.search(body):
+            continue
+        lineno = line_of(clean, m.start())
+        rule = "unordered-float-iter"
+        findings.append(Finding(
+            ctx.rel, lineno, rule,
+            "iteration over an unordered container feeds an "
+            "accumulation; hash order is implementation-defined, so "
+            "the reduction is not reproducible — iterate a sorted "
+            "view or use an ordered container",
+            suppressed=ctx.is_suppressed(lineno, rule)))
+
+
+FN_RE = re.compile(
+    r"(?:std\s*::\s*function|(?:\bsim\s*::\s*)?\bInlineFunction)\s*<")
+# The void() alias has no template argument list of its own.
+INLINE_CB_RE = re.compile(r"(?:\bsim\s*::\s*)?\bInlineCallback\b")
+CONTROL_KEYWORDS = {"if", "for", "while", "switch", "return", "catch",
+                    "sizeof", "decltype", "alignof", "noexcept"}
+
+
+def enclosing_call_paren(clean, pos):
+    """Offset of the nearest unmatched '(' before pos whose preceding
+    token is an identifier (i.e. a signature/call paren), else None."""
+    depth = 0
+    i = pos - 1
+    while i >= 0:
+        c = clean[i]
+        if c in ")]}":
+            depth += 1
+        elif c in "([{":
+            if c == "(" and depth == 0:
+                j = i - 1
+                while j >= 0 and clean[j] in " \t\n":
+                    j -= 1
+                k = j
+                while k >= 0 and (clean[k].isalnum() or clean[k] == "_"):
+                    k -= 1
+                ident = clean[k + 1:j + 1]
+                if ident and not ident[0].isdigit() and \
+                        ident not in CONTROL_KEYWORDS:
+                    return i
+                return None
+            if depth == 0:
+                return None
+            depth -= 1
+        elif c == ";":
+            return None
+        i -= 1
+    return None
+
+
+def fn_by_value_candidates(clean):
+    """Offsets of each by-value-prone callable type mention: yields
+    (start, end_of_type) for std::function<...>, InlineFunction<...>,
+    and the sim::InlineCallback alias (which has no argument list)."""
+    for m in FN_RE.finditer(clean):
+        lt = clean.index("<", m.end() - 1)
+        close = match_balanced(clean, lt, "<", ">")
+        if close is not None:
+            yield m.start(), close
+    for m in INLINE_CB_RE.finditer(clean):
+        yield m.start(), m.end()
+
+
+def check_fn_by_value(ctx, findings):
+    clean = ctx.clean
+    for start, close in fn_by_value_candidates(clean):
+        rest = clean[close:]
+        rm = re.match(r"\s*([&*]+)?\s*([A-Za-z_]\w*)?\s*([,)=])?", rest)
+        if not rm or rm.group(1):
+            continue  # reference/pointer: fine
+        if not rm.group(2) or rm.group(3) is None:
+            continue  # no declarator or not followed by , ) = — skip
+        if enclosing_call_paren(clean, start) is None:
+            continue  # local/member/alias declaration, not a parameter
+        lineno = line_of(clean, start)
+        rule = "fn-by-value"
+        findings.append(Finding(
+            ctx.rel, lineno, rule,
+            "by-value callable parameter (std::function / "
+            "sim::InlineFunction / sim::InlineCallback) pays a "
+            "type-erased copy or move on every call; take const& "
+            "(borrow) or && (sink)",
+            suppressed=ctx.is_suppressed(lineno, rule)))
+
+
+PARFOR_RE = re.compile(r"\bparallelFor\s*\(")
+PUSHBACK_RE = re.compile(r"\.\s*(push_back|emplace_back)\s*\(")
+
+
+def check_parfor_pushback(ctx, findings):
+    clean = ctx.clean
+    for m in PARFOR_RE.finditer(clean):
+        open_paren = clean.index("(", m.end() - 1)
+        close = match_balanced(clean, open_paren, "(", ")")
+        if close is None:
+            continue
+        region = clean[open_paren:close]
+        for pm in PUSHBACK_RE.finditer(region):
+            lineno = line_of(clean, open_paren + pm.start())
+            rule = "parfor-pushback"
+            findings.append(Finding(
+                ctx.rel, lineno, rule,
+                "%s inside a parallelFor body orders results by "
+                "completion, not by index; write to a pre-sized slot "
+                "out[i] instead" % pm.group(1),
+                suppressed=ctx.is_suppressed(lineno, rule)))
+
+
+def check_token_rules(ctx, rules, findings):
+    """Every token rule but header-standalone, which needs a compiler.
+    banned-random and banned-clock apply only in the determinism
+    scope."""
+    if in_determinism_scope(ctx.rel):
+        if "banned-random" in rules and "util/rng" not in ctx.rel:
+            check_patterns(ctx, "banned-random", RANDOM_PATTERNS,
+                           findings)
+        if "banned-clock" in rules:
+            check_patterns(ctx, "banned-clock", CLOCK_PATTERNS,
+                           findings)
+    if "unordered-float-iter" in rules:
+        check_unordered_float_iter(ctx, findings)
+    if "fn-by-value" in rules:
+        check_fn_by_value(ctx, findings)
+    if "parfor-pushback" in rules:
+        check_parfor_pushback(ctx, findings)
+
+
+def check_header_standalone(root, headers, compiler, flags, findings):
+    """Compile each header on its own (-fsyntax-only), one compiler
+    process per CPU."""
+    def compile_one(ctx):
+        rel = os.path.relpath(ctx.path, os.path.join(root, "src"))
+        with tempfile.NamedTemporaryFile(
+                mode="w", suffix=".cc", delete=False) as tu:
+            tu.write('#include "%s"\nint accel_analyze_tu_anchor;\n'
+                     % rel)
+            name = tu.name
+        try:
+            proc = subprocess.run(
+                [compiler] + flags + ["-I", os.path.join(root, "src"),
+                                      "-fsyntax-only", name],
+                capture_output=True, text=True)
+            return ctx, proc.returncode, proc.stderr
+        finally:
+            os.unlink(name)
+
+    with concurrent.futures.ThreadPoolExecutor(
+            max_workers=os.cpu_count() or 1) as ex:
+        for ctx, rc, err in ex.map(compile_one, headers):
+            if rc == 0:
+                continue
+            head = "\n".join(ctx.text.splitlines()[:15])
+            sup_match = SUPPRESS_RE.search(head)
+            sup = bool(sup_match and
+                       "header-standalone" in sup_match.group(1))
+            first_err = next((ln for ln in err.splitlines()
+                              if "error:" in ln), err.strip()[:200])
+            findings.append(Finding(
+                ctx.rel, 1, "header-standalone",
+                "header does not compile standalone: %s" % first_err,
+                suppressed=sup))
 
 
 # ---------------------------------------------------------------------
@@ -931,12 +1294,6 @@ STD_DISTRIBUTION_RE = re.compile(
 STATIC_RNG_RE = re.compile(
     r"\bstatic\s+(?:thread_local\s+)?(?:accel\s*::\s*)?Rng\s+(\w+)")
 RNG_LOCAL_RE = re.compile(r"\b(?:accel\s*::\s*)?Rng\s+(\w+)\s*[({;=]")
-PARFOR_RE = re.compile(r"\bparallelFor\s*\(")
-
-
-def in_determinism_scope(rel):
-    return any(rel == d or rel.startswith(d + "/")
-               for d in DETERMINISM_SCOPE)
 
 
 def check_rng_discipline(ctx, findings):
@@ -1114,7 +1471,7 @@ def check_validate_coverage(ctxs, findings):
     # Validatable structs, with the defining context for anchoring.
     defs = []  # (ctx, StructDef)
     for ctx in ctxs:
-        for sd in ctx.get_structs():
+        for sd in ctx.structs:
             if sd.has_validate:
                 defs.append((ctx, sd))
     validatable = {sd.name for _, sd in defs}
@@ -1206,7 +1563,7 @@ def check_metrics_accounting(ctxs, scope_rels, findings):
     metrics = []  # (ctx, StructDef)
     all_fields = {}  # field name -> set of struct names declaring it
     for ctx in ctxs:
-        for sd in ctx.get_structs():
+        for sd in ctx.structs:
             for (fname, _t, _l) in sd.fields:
                 all_fields.setdefault(fname, set()).add(sd.name)
             if METRICS_NAME_RE.search(sd.name) and sd.kind == "struct":
@@ -1247,7 +1604,7 @@ def check_metrics_accounting(ctxs, scope_rels, findings):
         # metrics structs defined here, plus out-of-line
         # StructName::method definitions.
         spans = []
-        for sd in ctx.get_structs():
+        for sd in ctx.structs:
             if sd.name in metric_structs and \
                     METRICS_NAME_RE.search(sd.name):
                 spans.append((sd.body_start, sd.body_end, sd))
@@ -1334,47 +1691,66 @@ def libclang_available():
         return False
 
 
-def libclang_refine(findings, ctxs, compile_commands):
-    """Refine rng-discipline receiver types with the real AST: drop
-    advance findings whose receiver resolves to a non-Rng type. Best
-    effort — any parse failure leaves the structural findings as-is."""
+def compile_flags(compile_commands):
+    """(compiler, default_flags, flags_by_file) from
+    compile_commands.json, keeping -std/-I/-isystem/-D. The compiler and
+    default_flags come from the first entry and serve files without one
+    of their own, such as headers."""
+    compiler, default_flags, flags_by_file = "c++", ["-std=c++20"], {}
+    for entry in compile_commands or []:
+        args = entry.get("arguments") or entry.get("command", "").split()
+        if not args:
+            continue
+        keep = [a for a in args[1:]
+                if a.startswith(("-std", "-I", "-isystem", "-D"))]
+        if not flags_by_file:
+            compiler, default_flags = args[0], keep
+        flags_by_file[os.path.abspath(entry.get("file", ""))] = keep
+    return compiler, default_flags, flags_by_file
+
+
+CALLABLE_TYPES = ("function<", "InlineFunction<", "InlineCallback")
+
+
+def libclang_refine(findings, ctx_by_rel, default_flags, flags_by_file):
+    """Confirm two rules with the real AST: keep fn-by-value findings
+    only on lines declaring a by-value callable parameter, and drop
+    rng-discipline advance findings whose receiver resolves to a
+    non-Rng type. Best effort — a file that fails to parse keeps its
+    structural findings as-is."""
     try:
         from clang import cindex
         index = cindex.Index.create()
     except Exception:
         return findings
 
-    flags_by_file = {}
-    for entry in compile_commands or []:
-        args = entry.get("arguments") or entry.get("command", "").split()
-        keep = [a for a in args[1:]
-                if a.startswith(("-std", "-I", "-isystem", "-D"))]
-        flags_by_file[os.path.abspath(entry.get("file", ""))] = keep
-
-    rng_lines_by_file = {}
-    for ctx in ctxs:
-        wanted = [f for f in findings
-                  if f.rule == "rng-discipline" and f.path == ctx.rel]
-        if not wanted:
-            continue
-        flags = flags_by_file.get(os.path.abspath(ctx.path), [])
+    refined_rules = ("fn-by-value", "rng-discipline")
+    ast_lines = {}  # rel -> {rule: confirmed lines}
+    for rel in sorted({f.path for f in findings
+                       if f.rule in refined_rules}):
+        ctx = ctx_by_rel[rel]
+        flags = flags_by_file.get(os.path.abspath(ctx.path),
+                                  default_flags)
         try:
             tu = index.parse(ctx.path, args=flags)
         except Exception:
             continue
-        lines = set()
+        lines = {rule: set() for rule in refined_rules}
 
         def visit(node):
             try:
-                if node.kind == cindex.CursorKind.CALL_EXPR and \
-                        node.location.file and \
+                if node.location.file and \
                         os.path.samefile(str(node.location.file),
                                          ctx.path):
-                    for child in node.get_children():
-                        t = child.type.spelling
-                        if "Rng" in t:
-                            lines.add(node.location.line)
-                            break
+                    t = node.type.spelling
+                    if node.kind == cindex.CursorKind.PARM_DECL and \
+                            any(c in t for c in CALLABLE_TYPES) and \
+                            "&" not in t:
+                        lines["fn-by-value"].add(node.location.line)
+                    elif node.kind == cindex.CursorKind.CALL_EXPR and \
+                            any("Rng" in child.type.spelling
+                                for child in node.get_children()):
+                        lines["rng-discipline"].add(node.location.line)
             except Exception:
                 pass
             for child in node.get_children():
@@ -1384,16 +1760,16 @@ def libclang_refine(findings, ctxs, compile_commands):
             visit(tu.cursor)
         except Exception:
             continue
-        rng_lines_by_file[ctx.rel] = lines
+        ast_lines[rel] = lines
 
     refined = []
     for f in findings:
-        if f.rule == "rng-discipline" and f.path in rng_lines_by_file:
-            # Keep distribution findings (type-independent); drop
-            # advance findings on lines with no Rng-typed receiver.
-            if "_distribution" not in f.message and \
-                    f.line not in rng_lines_by_file[f.path]:
-                continue
+        lines = ast_lines.get(f.path)
+        # Distribution findings are type-independent; keep them.
+        if lines is not None and f.rule in refined_rules and \
+                "_distribution" not in f.message and \
+                f.line not in lines[f.rule]:
+            continue
         refined.append(f)
     return refined
 
@@ -1457,37 +1833,32 @@ def write_baseline(path, findings, ctx_by_rel):
 
 
 # ---------------------------------------------------------------------
-# Suppression audit (shared semantics with accel_lint)
+# Suppression audit
 # ---------------------------------------------------------------------
 
-def audit_suppressions(ctxs, findings, tool_rules):
-    """Stale allow() comments: a suppression naming one of this
-    tool's rules where that rule produced no finding on any covered
-    line. Foreign rule names (the other tool's) are ignored."""
+def audit_suppressions(ctxs, findings, rules_run):
+    """Stale allow() comments: a suppression naming a rule that ran on
+    its file (rules_run: rel -> rules) where that rule produced no
+    finding on any covered line. Other rule names are ignored. An
+    allow() in a header's first 15 lines also covers the
+    header-standalone finding pinned to line 1."""
     fired = {}  # (rel, line) -> set of rules (suppressed or not)
     for f in findings:
         fired.setdefault((f.path, f.line), set()).add(f.rule)
     stale = []
     for ctx in ctxs:
-        lines = ctx.text.splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            m = SUPPRESS_RE.search(line)
-            if not m:
-                continue
-            rules = {r.strip() for r in m.group(1).split(",")
-                     if r.strip()} & set(tool_rules)
-            if not rules:
-                continue
+        is_header = ctx.rel.endswith(HEADER_EXTENSIONS)
+        for lineno, rules, after in allow_comments(ctx.text):
             covered = {lineno, lineno + 1}
-            if line.strip().startswith("//"):
-                nxt = lineno
-                while nxt < len(lines) and \
-                        lines[nxt].strip().startswith("//"):
-                    nxt += 1
-                covered.add(nxt + 1)
-            for rule in sorted(rules):
+            if after is not None:
+                covered.add(after)
+            for rule in sorted(rules & rules_run[ctx.rel]):
+                rule_covered = set(covered)
+                if rule == "header-standalone" and is_header and \
+                        lineno <= 15:
+                    rule_covered.add(1)
                 if any(rule in fired.get((ctx.rel, ln), ())
-                       for ln in covered):
+                       for ln in rule_covered):
                     continue
                 stale.append(Finding(
                     ctx.rel, lineno, "stale-suppression",
@@ -1525,14 +1896,19 @@ def collect_files(root, paths, excludes):
 def main(argv):
     ap = argparse.ArgumentParser(
         prog="accel_analyze",
-        description="AST-grade invariant checker: callback lifetimes, "
-                    "RNG discipline, config/metrics coverage.")
-    ap.add_argument("paths", nargs="*", default=list(DEFAULT_PATHS),
-                    help="files or directories relative to --root "
-                         "(default: %s)" % " ".join(DEFAULT_PATHS))
+        description="Static analysis for the Accelerometer "
+                    "reproduction: determinism, hot-path, callback-"
+                    "lifetime, RNG, config and metrics rules.")
+    ap.add_argument("paths", nargs="*",
+                    help="files or directories relative to --root, "
+                         "checked by every rule (default: token rules "
+                         "%s; structural rules %s)"
+                         % (" ".join(TOKEN_PATHS),
+                            " ".join(STRUCTURAL_PATHS)))
     ap.add_argument("-p", "--build-dir", default=None,
                     help="build dir containing compile_commands.json "
-                         "(used by the libclang frontend)")
+                         "(compiler flags for header-standalone and "
+                         "the libclang frontend)")
     ap.add_argument("--root", default=None,
                     help="repository root (default: two levels above "
                          "this script)")
@@ -1545,9 +1921,10 @@ def main(argv):
     ap.add_argument("--list-rules", action="store_true")
     ap.add_argument("--frontend", default="auto",
                     choices=("auto", "builtin", "libclang"),
-                    help="auto: libclang refinement when importable, "
-                         "else the built-in structural frontend; "
-                         "libclang: hard error when unavailable")
+                    help="auto: libclang refinement of fn-by-value and "
+                         "rng-discipline when importable, else the "
+                         "built-in frontend alone; libclang: hard error "
+                         "when unavailable")
     ap.add_argument("--baseline", default=None,
                     help="baseline file (default: "
                          "tools/analyze/baseline.json under --root; "
@@ -1555,8 +1932,8 @@ def main(argv):
     ap.add_argument("--update-baseline", action="store_true",
                     help="rewrite the baseline from current findings")
     ap.add_argument("--audit-suppressions", action="store_true",
-                    help="report stale allow() comments for this "
-                         "tool's rules instead of failing on findings")
+                    help="report stale allow() comments instead of "
+                         "failing on findings")
     args = ap.parse_args(argv)
 
     if args.list_rules:
@@ -1604,51 +1981,91 @@ def main(argv):
             print("accel-analyze: warning: no compile_commands.json "
                   "in %s; libclang parses with default flags"
                   % args.build_dir, file=sys.stderr)
+    compiler, default_flags, flags_by_file = \
+        compile_flags(compile_commands)
 
+    # The fixture corpora are intentionally full of violations; never
+    # analyze them as part of the real tree.
     excludes = ["tests/tools/fixtures"]
-    requested = collect_files(root, args.paths, excludes)
-    # Cross-file rules always see the full default scope so a partial
-    # invocation cannot mistake "not scanned" for "never reported".
-    scope_files = collect_files(root, DEFAULT_PATHS, excludes)
-    all_files = sorted(set(requested) | set(scope_files))
+    token_files = collect_files(root, args.paths or TOKEN_PATHS,
+                                excludes)
+    struct_files = collect_files(root, args.paths or STRUCTURAL_PATHS,
+                                 excludes)
+    # Cross-file rules always see the full structural scope so a
+    # partial invocation cannot mistake "not scanned" for "never
+    # reported".
+    scope_files = collect_files(root, STRUCTURAL_PATHS, excludes)
 
-    ctxs = [FileCtx(root, p) for p in all_files]
-    ctx_by_rel = {c.rel: c for c in ctxs}
-    requested_rels = {os.path.relpath(p, root) for p in requested}
+    ctx_by_path = {p: FileCtx(root, p) for p in
+                   sorted(set(token_files) | set(struct_files) |
+                          set(scope_files))}
+    ctx_by_rel = {c.rel: c for c in ctx_by_path.values()}
+    token_ctxs = [ctx_by_path[p] for p in token_files]
+    struct_ctxs = [ctx_by_path[p] for p in struct_files]
+    cross_ctxs = [ctx_by_path[p] for p in
+                  sorted(set(struct_files) | set(scope_files))]
+    struct_rels = {c.rel for c in struct_ctxs}
     scope_rels = {os.path.relpath(p, root) for p in scope_files}
 
     findings = []
+    for ctx in token_ctxs:
+        check_token_rules(ctx, rules, findings)
+    if "header-standalone" in rules:
+        headers = [c for c in token_ctxs
+                   if c.rel.endswith(HEADER_EXTENSIONS) and
+                   c.rel.startswith("src/")]
+        check_header_standalone(root, headers, compiler, default_flags,
+                                findings)
     if "dangling-capture" in rules:
-        sinks = discover_sinks(ctxs)
-        for ctx in ctxs:
-            if ctx.rel in requested_rels:
-                check_dangling_capture(ctx, sinks, findings)
+        sinks = discover_sinks(cross_ctxs)
+        for ctx in struct_ctxs:
+            check_dangling_capture(ctx, sinks, findings)
     if "rng-discipline" in rules:
-        for ctx in ctxs:
-            if ctx.rel in requested_rels:
-                check_rng_discipline(ctx, findings)
+        for ctx in struct_ctxs:
+            check_rng_discipline(ctx, findings)
     if "validate-coverage" in rules:
         agg = []
-        check_validate_coverage(ctxs, agg)
-        findings.extend(f for f in agg if f.path in requested_rels)
+        check_validate_coverage(cross_ctxs, agg)
+        findings.extend(f for f in agg if f.path in struct_rels)
     if "metrics-accounting" in rules:
         agg = []
-        check_metrics_accounting(ctxs, scope_rels, agg)
-        findings.extend(f for f in agg if f.path in requested_rels)
+        check_metrics_accounting(cross_ctxs, scope_rels, agg)
+        findings.extend(f for f in agg if f.path in struct_rels)
 
     if use_libclang:
-        findings = libclang_refine(findings, ctxs, compile_commands)
+        findings = libclang_refine(findings, ctx_by_rel, default_flags,
+                                   flags_by_file)
+
+    findings.sort(key=lambda f: (f.path, f.line, f.rule))
+    # One finding per (file, line, rule): distinct patterns for one
+    # rule can fire on the same line (e.g. two clock reads in one
+    # statement). Suppression state is per line, so a dropped
+    # duplicate never differs from the one kept.
+    seen = set()
+    deduped = []
+    for f in findings:
+        key = (f.path, f.line, f.rule)
+        if key in seen:
+            continue
+        seen.add(key)
+        deduped.append(f)
+    findings = deduped
+
+    checked = [ctx_by_path[p] for p in
+               sorted(set(token_files) | set(struct_files))]
 
     if args.audit_suppressions:
-        stale = audit_suppressions(
-            [c for c in ctxs if c.rel in requested_rels],
-            findings, ALL_RULES)
+        rules_run = {c.rel: set() for c in checked}
+        for c in token_ctxs:
+            rules_run[c.rel] |= rules & set(TOKEN_RULES)
+        for c in struct_ctxs:
+            rules_run[c.rel] |= rules & set(STRUCTURAL_RULES)
+        stale = audit_suppressions(checked, findings, rules_run)
         stale.sort(key=lambda f: (f.path, f.line))
         for f in stale:
             print(f.render())
         print("accel-analyze: suppression audit: %d file(s), "
-              "%d stale suppression(s)"
-              % (len(requested_rels), len(stale)))
+              "%d stale suppression(s)" % (len(checked), len(stale)))
         if args.json_out:
             with open(args.json_out, "w", encoding="utf-8") as f:
                 json.dump({
@@ -1680,16 +2097,16 @@ def main(argv):
     counts = load_baseline(baseline_path)
     apply_baseline(findings, ctx_by_rel, counts)
 
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
     live = [f for f in findings
             if not f.suppressed and not f.baselined]
 
     for f in findings:
         print(f.render())
-    print("accel-analyze: %d file(s) analyzed, %d finding(s), "
-          "%d suppressed, %d baselined"
-          % (len(requested_rels), len(live),
-             sum(1 for f in findings if f.suppressed),
+    print("accel-analyze: %d file(s) analyzed (token rules %d, "
+          "structural rules %d), %d finding(s), %d suppressed, "
+          "%d baselined"
+          % (len(checked), len(token_files), len(struct_files),
+             len(live), sum(1 for f in findings if f.suppressed),
              sum(1 for f in findings if f.baselined)))
 
     if args.json_out:
@@ -1699,7 +2116,7 @@ def main(argv):
             "root": root,
             "rules": sorted(rules),
             "frontend": "libclang" if use_libclang else "builtin",
-            "checked_files": len(requested_rels),
+            "checked_files": len(checked),
             "findings": [f.as_dict() for f in findings],
         }
         with open(args.json_out, "w", encoding="utf-8") as f:

@@ -1,18 +1,9 @@
-#!/usr/bin/env python3
-"""Shared SARIF 2.1.0 emission and merge/dedupe for the accel static
-analysis tools (tools/lint/accel_lint.py and
-tools/analyze/accel_analyze.py).
-
-Both tools emit one SARIF run each; CI merges them into a single
-code-scanning upload with `python3 sarif_util.py merge out.sarif
-in1.sarif in2.sarif ...`, deduplicating overlapping findings by
-(file, line, rule) — the two tools deliberately overlap on a few rules
-(e.g. token-level banned-random vs AST-level rng-discipline can fire on
-the same line) and one annotation per line per rule is enough.
+"""SARIF 2.1.0 emission for tools/analyze/accel_analyze.py: one run,
+one result per finding, with in-source (allow() comment) and external
+(baseline) suppressions.
 """
 
 import json
-import sys
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
@@ -96,57 +87,3 @@ def write_sarif(path, sarif):
         json.dump(sarif, f, indent=2, sort_keys=True)
         f.write("\n")
 
-
-def _result_key(result):
-    loc = (result.get("locations") or [{}])[0]
-    phys = loc.get("physicalLocation", {})
-    uri = phys.get("artifactLocation", {}).get("uri", "")
-    line = phys.get("region", {}).get("startLine", 0)
-    return (uri, line, result.get("ruleId", ""))
-
-
-def merge_sarif(logs):
-    """Merge SARIF logs into one log, one run per tool, dropping
-    results that duplicate an earlier (file, line, rule) triple —
-    across tools, so overlapping lint/analyze findings annotate once."""
-    seen = set()
-    runs = []
-    for log in logs:
-        for run in log.get("runs", []):
-            kept = []
-            for result in run.get("results", []):
-                key = _result_key(result)
-                if key in seen:
-                    continue
-                seen.add(key)
-                kept.append(result)
-            merged_run = dict(run)
-            merged_run["results"] = kept
-            runs.append(merged_run)
-    return {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": runs,
-    }
-
-
-def main(argv):
-    if len(argv) < 3 or argv[0] != "merge":
-        print("usage: sarif_util.py merge <out.sarif> <in.sarif>...",
-              file=sys.stderr)
-        return 2
-    out_path, in_paths = argv[1], argv[2:]
-    logs = []
-    for path in in_paths:
-        with open(path, encoding="utf-8") as f:
-            logs.append(json.load(f))
-    merged = merge_sarif(logs)
-    write_sarif(out_path, merged)
-    total = sum(len(r.get("results", [])) for r in merged["runs"])
-    print("sarif_util: merged %d file(s) -> %s (%d result(s) after "
-          "dedupe)" % (len(in_paths), out_path, total))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
