@@ -26,9 +26,6 @@
  *      [0.5 x M/M/k, k x M/M/1] around model::mmkWaitCycles.
  */
 
-#include <cstdlib>
-#include <fstream>
-
 #include "bench_common.hh"
 #include "microsim/arrival_program.hh"
 #include "microsim/service_spec.hh"
@@ -185,20 +182,9 @@ struct Arm
 int
 main(int argc, char **argv)
 {
-    std::uint64_t seed = 2020;
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--seed" && i + 1 < argc) {
-            seed = static_cast<std::uint64_t>(
-                std::strtoull(argv[++i], nullptr, 10));
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else {
-            fatal("autoscale_slo: unknown argument '" + arg +
-                  "' (usage: [--seed N] [--json PATH])");
-        }
-    }
+    const bench::BenchArgs args =
+        bench::BenchArgs::parse("autoscale_slo", argc, argv);
+    const std::uint64_t seed = args.seed;
 
     bench::banner("Autoscale SLO: time-varying traffic vs static peak "
                   "provisioning (extension)");
@@ -379,7 +365,7 @@ main(int argc, char **argv)
            "autoscaler costs nothing when traffic is flat.\n";
 
     bool ok = day_ok && flash_ok && stationary_ok;
-    if (!json_path.empty()) {
+    if (!args.jsonPath.empty()) {
         std::ostringstream json;
         json << "{\n  \"seed\": " << seed << ",\n  \"budget_cycles\": "
              << fmtF(kBudgetCycles, 0) << ",\n  \"arms\": [\n";
@@ -409,11 +395,7 @@ main(int argc, char **argv)
              << ",\n  \"stationary_pass\": "
              << (stationary_ok ? "true" : "false")
              << ",\n  \"pass\": " << (ok ? "true" : "false") << "\n}\n";
-        std::ofstream out(json_path);
-        require(static_cast<bool>(out),
-                "autoscale_slo: cannot write '" + json_path + "'");
-        out << json.str();
-        std::cout << "json written to " << json_path << "\n";
+        args.writeJson(json.str());
     }
     return ok ? 0 : 1;
 }

@@ -8,6 +8,8 @@
 
 #pragma once
 
+#include <cstdint>
+#include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
@@ -18,12 +20,67 @@
 #include "profiling/breakdown_report.hh"
 #include "util/csv.hh"
 #include "util/logging.hh"
+#include "util/string_utils.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 #include "workload/granularities.hh"
 #include "workload/profiles.hh"
 
 namespace accel::bench {
+
+/** The gated benches' command line: `[--seed N] [--json PATH]`. */
+struct BenchArgs
+{
+    std::string bench; //!< binary name, for messages
+    std::uint64_t seed = 2020;
+    std::string jsonPath; //!< empty = no JSON report
+
+    /**
+     * Parse @p argv for bench @p bench. The seed parses as a count,
+     * so `--seed abc` is an error rather than seed 0.
+     * @throws FatalError on an unknown argument or a malformed seed.
+     */
+    static BenchArgs
+    parse(const std::string &bench, int argc, char **argv)
+    {
+        BenchArgs args;
+        args.bench = bench;
+        for (int i = 1; i < argc; ++i) {
+            std::string arg = argv[i];
+            if (arg == "--seed" && i + 1 < argc) {
+                std::string value = argv[++i];
+                try {
+                    args.seed = parseCount(value);
+                } catch (const FatalError &) {
+                    fatal(bench + ": --seed wants a non-negative "
+                                  "integer, got '" + value + "'");
+                }
+            } else if (arg == "--json" && i + 1 < argc) {
+                args.jsonPath = argv[++i];
+            } else {
+                fatal(bench + ": unknown argument '" + arg +
+                      "' (usage: [--seed N] [--json PATH])");
+            }
+        }
+        return args;
+    }
+
+    /**
+     * Write @p json to jsonPath, if one was given, and say so.
+     * @throws FatalError when the file cannot be opened.
+     */
+    void
+    writeJson(const std::string &json) const
+    {
+        if (jsonPath.empty())
+            return;
+        std::ofstream out(jsonPath);
+        require(static_cast<bool>(out),
+                bench + ": cannot write '" + jsonPath + "'");
+        out << json;
+        std::cout << "json written to " << jsonPath << "\n";
+    }
+};
 
 /** Print a bench banner. */
 inline void

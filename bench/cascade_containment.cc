@@ -54,9 +54,6 @@
  *      roots, no drops/blackholes from a spike-only plan).
  */
 
-#include <cstdlib>
-#include <fstream>
-
 #include "bench_common.hh"
 #include "graph_fixtures.hh"
 #include "microsim/service_graph.hh"
@@ -169,20 +166,9 @@ sickEdge(const microsim::GraphMetrics &m)
 int
 main(int argc, char **argv)
 {
-    std::uint64_t seed = 2020;
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--seed" && i + 1 < argc) {
-            seed = static_cast<std::uint64_t>(
-                std::strtoull(argv[++i], nullptr, 10));
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else {
-            fatal("cascade_containment: unknown argument '" + arg +
-                  "' (usage: [--seed N] [--json PATH])");
-        }
-    }
+    const bench::BenchArgs args =
+        bench::BenchArgs::parse("cascade_containment", argc, argv);
+    const std::uint64_t seed = args.seed;
 
     bench::banner("Cascade containment: retry storms vs deadline "
                   "budgets, retry budgets, per-edge breakers "
@@ -321,7 +307,7 @@ main(int argc, char **argv)
 
     bool ok = storm_ok && metastable_ok && contain_ok && waste_ok &&
         attrib_ok;
-    if (!json_path.empty()) {
+    if (!args.jsonPath.empty()) {
         std::ostringstream json;
         json << "{\n  \"seed\": " << seed
              << ",\n  \"amplification\": " << fmtF(amplification, 4)
@@ -351,11 +337,7 @@ main(int argc, char **argv)
              << ",\n  \"attribution_pass\": "
              << (attrib_ok ? "true" : "false") << ",\n  \"pass\": "
              << (ok ? "true" : "false") << "\n}\n";
-        std::ofstream out(json_path);
-        require(static_cast<bool>(out),
-                "cascade_containment: cannot write '" + json_path + "'");
-        out << json.str();
-        std::cout << "json written to " << json_path << "\n";
+        args.writeJson(json.str());
     }
     return ok ? 0 : 1;
 }

@@ -26,8 +26,7 @@
  *      ServiceSim metrics bit-identically (same JSON bytes).
  */
 
-#include <cstdlib>
-#include <fstream>
+#include <cmath>
 
 #include "bench_common.hh"
 #include "graph_fixtures.hh"
@@ -136,20 +135,9 @@ runAdsGraph(const microsim::AbExperiment &ads, bool accelerated)
 int
 main(int argc, char **argv)
 {
-    std::uint64_t seed = 2020;
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--seed" && i + 1 < argc) {
-            seed = static_cast<std::uint64_t>(
-                std::strtoull(argv[++i], nullptr, 10));
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else {
-            fatal("graph_tail: unknown argument '" + arg +
-                  "' (usage: [--seed N] [--json PATH])");
-        }
-    }
+    const bench::BenchArgs args =
+        bench::BenchArgs::parse("graph_tail", argc, argv);
+    const std::uint64_t seed = args.seed;
 
     bench::banner("Graph tail: RPC fan-out amplification and Ads1 "
                   "as a service graph (extension)");
@@ -261,7 +249,7 @@ main(int argc, char **argv)
            "behind a front-end rather than in a closed loop.\n";
 
     bool ok = depth_ok && ads_ok && identity_ok;
-    if (!json_path.empty()) {
+    if (!args.jsonPath.empty()) {
         std::ostringstream json;
         json << "{\n  \"seed\": " << seed << ",\n  \"depths\": [\n";
         for (size_t i = 0; i < depths.size(); ++i) {
@@ -282,11 +270,7 @@ main(int argc, char **argv)
              << ",\n  \"identity_pass\": "
              << (identity_ok ? "true" : "false") << ",\n  \"pass\": "
              << (ok ? "true" : "false") << "\n}\n";
-        std::ofstream out(json_path);
-        require(static_cast<bool>(out),
-                "graph_tail: cannot write '" + json_path + "'");
-        out << json.str();
-        std::cout << "json written to " << json_path << "\n";
+        args.writeJson(json.str());
     }
     return ok ? 0 : 1;
 }

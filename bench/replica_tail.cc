@@ -24,9 +24,6 @@
  *      no host fallback configured.
  */
 
-#include <cstdlib>
-#include <fstream>
-
 #include "bench_common.hh"
 #include "faults/fault_plan.hh"
 #include "microsim/service_spec.hh"
@@ -145,20 +142,9 @@ runTier(const microsim::TierConfig &tier, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
-    std::uint64_t seed = 2020;
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--seed" && i + 1 < argc) {
-            seed = static_cast<std::uint64_t>(
-                std::strtoull(argv[++i], nullptr, 10));
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else {
-            fatal("replica_tail: unknown argument '" + arg +
-                  "' (usage: [--seed N] [--json PATH])");
-        }
-    }
+    const bench::BenchArgs args =
+        bench::BenchArgs::parse("replica_tail", argc, argv);
+    const std::uint64_t seed = args.seed;
 
     bench::banner("Replica tail: hedged offloads and brown-out "
                   "failover on a replicated remote tier (extension)");
@@ -355,7 +341,7 @@ main(int argc, char **argv)
                  "the timeout.\n";
 
     bool ok = hedge_ok && failover_ok;
-    if (!json_path.empty()) {
+    if (!args.jsonPath.empty()) {
         std::ostringstream json;
         json << "{\n  \"seed\": " << seed << ",\n  \"hedge_delay\": "
              << fmtF(hedge_delay, 0) << ",\n  \"p99_no_hedge\": "
@@ -393,11 +379,7 @@ main(int argc, char **argv)
              << dead_m.tier.summaryJson()
              << ",\n  \"pass\": " << (ok ? "true" : "false")
              << "\n}\n";
-        std::ofstream out(json_path);
-        require(static_cast<bool>(out),
-                "replica_tail: cannot write '" + json_path + "'");
-        out << json.str();
-        std::cout << "json written to " << json_path << "\n";
+        args.writeJson(json.str());
     }
     return ok ? 0 : 1;
 }

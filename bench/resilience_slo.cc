@@ -19,9 +19,6 @@
  * the host-only baseline.
  */
 
-#include <cstdlib>
-#include <fstream>
-
 #include "bench_common.hh"
 #include "faults/fault_plan.hh"
 #include "microsim/ab_test.hh"
@@ -108,20 +105,9 @@ experiment(const Policy &policy, double drop_p, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
-    std::uint64_t seed = 2020;
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--seed" && i + 1 < argc) {
-            seed = static_cast<std::uint64_t>(
-                std::strtoull(argv[++i], nullptr, 10));
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else {
-            fatal("resilience_slo: unknown argument '" + arg +
-                  "' (usage: [--seed N] [--json PATH])");
-        }
-    }
+    const bench::BenchArgs args =
+        bench::BenchArgs::parse("resilience_slo", argc, argv);
+    const std::uint64_t seed = args.seed;
 
     bench::banner("Resilience SLO: goodput under injected device "
                   "faults, by policy (extension)");
@@ -235,12 +221,6 @@ main(int argc, char **argv)
                  "converges to host-only throughput, trading only the "
                  "occasional probe.\n";
 
-    if (!json_path.empty()) {
-        std::ofstream out(json_path);
-        require(static_cast<bool>(out),
-                "resilience_slo: cannot write '" + json_path + "'");
-        out << json.str();
-        std::cout << "json written to " << json_path << "\n";
-    }
+    args.writeJson(json.str());
     return breaker_ok ? 0 : 1;
 }

@@ -32,13 +32,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <new>
 #include <sstream>
 #include <string>
 
+#include "bench_common.hh"
 #include "sim/event_queue.hh"
 #include "sim/reference_event_queue.hh"
 #include "util/logging.hh"
@@ -470,20 +470,9 @@ main(int argc, char **argv)
     using namespace accel;
     using namespace accel::bench;
 
-    std::uint64_t seed = 2020;
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--seed" && i + 1 < argc) {
-            seed = static_cast<std::uint64_t>(
-                std::strtoull(argv[++i], nullptr, 10));
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else {
-            fatal("simcore_throughput: unknown argument '" + arg +
-                  "' (usage: [--seed N] [--json PATH])");
-        }
-    }
+    const BenchArgs args =
+        BenchArgs::parse("simcore_throughput", argc, argv);
+    const std::uint64_t seed = args.seed;
 
     std::cout << "\n=== simcore_throughput (seed " << seed
               << ") ===\n\n";
@@ -522,7 +511,7 @@ main(int argc, char **argv)
     }
     std::cout << (ok ? "\nALL GATES PASS\n" : "\nGATE FAILURE\n");
 
-    if (!json_path.empty()) {
+    if (!args.jsonPath.empty()) {
         std::ostringstream json;
         auto workload = [&](const char *name, const WorkloadReport &w) {
             json << "  \"" << name << "\": {\n"
@@ -549,11 +538,7 @@ main(int argc, char **argv)
         json << ",\n";
         workload("hedging", hedging);
         json << ",\n  \"pass\": " << (ok ? "true" : "false") << "\n}\n";
-        std::ofstream out(json_path);
-        require(static_cast<bool>(out),
-                "simcore_throughput: cannot write '" + json_path + "'");
-        out << json.str();
-        std::cout << "json written to " << json_path << "\n";
+        args.writeJson(json.str());
     }
 
     return ok ? 0 : 1;

@@ -9,16 +9,6 @@ namespace accel::faults {
 
 namespace {
 
-/** splitmix64 finalizer: decorrelates (seed, slot) into an Rng seed. */
-std::uint64_t
-mix(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 /** Distinct from the device plan's stream: same (seed, index) pair on
  *  a device and an edge must not correlate. */
 constexpr std::uint64_t kEdgeFaultStream = 0xed6efa17ULL;
@@ -28,34 +18,6 @@ requireProbability(double p, const char *field)
 {
     require(std::isfinite(p) && p >= 0.0 && p <= 1.0,
             std::string("EdgeFaultPlan.") + field + " must be in [0, 1]");
-}
-
-void
-requireWindows(const std::vector<StallWindow> &windows, const char *field)
-{
-    sim::Tick prev_end = 0;
-    for (const StallWindow &w : windows) {
-        require(w.begin < w.end,
-                std::string("EdgeFaultPlan.") + field +
-                    " entries must have begin < end");
-        require(w.begin >= prev_end,
-                std::string("EdgeFaultPlan.") + field +
-                    " must be sorted and disjoint");
-        prev_end = w.end;
-    }
-}
-
-/** Sorted early-break membership scan over half-open windows. */
-bool
-inWindows(const std::vector<StallWindow> &windows, sim::Tick t)
-{
-    for (const StallWindow &w : windows) {
-        if (t < w.begin)
-            break; // sorted: later windows can't contain t
-        if (t < w.end)
-            return true;
-    }
-    return false;
 }
 
 } // namespace
@@ -86,8 +48,8 @@ EdgeFaultPlan::validate() const
     require(spikeWindows.empty() || spikeProbability > 0.0,
             "EdgeFaultPlan.spikeWindows without spikeProbability > 0 "
             "narrows a spike that never fires");
-    requireWindows(spikeWindows, "spikeWindows");
-    requireWindows(blackholes, "blackholes");
+    requireWindows(spikeWindows, "EdgeFaultPlan.spikeWindows");
+    requireWindows(blackholes, "EdgeFaultPlan.blackholes");
 }
 
 EdgeFaultDraw
@@ -97,7 +59,7 @@ EdgeFaultPlan::draw(std::uint64_t callSlot) const
     // One throwaway generator per call keeps the draw a pure function
     // of (seed, slot): fault outcomes cannot shift when retries or
     // scheduling change the order in which calls issue.
-    Rng rng(mix(seed ^ mix(callSlot + 1)), kEdgeFaultStream);
+    Rng rng(slotSeed(seed, callSlot), kEdgeFaultStream);
     if (spikeProbability > 0.0 && rng.chance(spikeProbability))
         d.extraLatencyCycles = spikeLatencyCycles;
     if (dropProbability > 0.0 && rng.chance(dropProbability))
@@ -108,13 +70,13 @@ EdgeFaultPlan::draw(std::uint64_t callSlot) const
 bool
 EdgeFaultPlan::blackholedAt(sim::Tick t) const
 {
-    return inWindows(blackholes, t);
+    return windowAt(blackholes, t) != nullptr;
 }
 
 bool
 EdgeFaultPlan::spikeActiveAt(sim::Tick t) const
 {
-    return spikeWindows.empty() || inWindows(spikeWindows, t);
+    return spikeWindows.empty() || windowAt(spikeWindows, t) != nullptr;
 }
 
 } // namespace accel::faults

@@ -9,16 +9,6 @@ namespace accel::faults {
 
 namespace {
 
-/** splitmix64 finalizer: decorrelates (seed, index) into an Rng seed. */
-std::uint64_t
-mix(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 constexpr std::uint64_t kFaultStream = 0xfa0175ULL;
 
 void
@@ -29,6 +19,31 @@ requireProbability(double p, const char *field)
 }
 
 } // namespace
+
+void
+requireWindows(const std::vector<StallWindow> &windows, const char *field)
+{
+    sim::Tick prev_end = 0;
+    for (const StallWindow &w : windows) {
+        require(w.begin < w.end,
+                std::string(field) + " entries must have begin < end");
+        require(w.begin >= prev_end,
+                std::string(field) + " must be sorted and disjoint");
+        prev_end = w.end;
+    }
+}
+
+const StallWindow *
+windowAt(const std::vector<StallWindow> &windows, sim::Tick t)
+{
+    for (const StallWindow &w : windows) {
+        if (t < w.begin)
+            break; // sorted: later windows can't contain t
+        if (t < w.end)
+            return &w;
+    }
+    return nullptr;
+}
 
 bool
 FaultPlan::active() const
@@ -53,14 +68,7 @@ FaultPlan::validate() const
     require(lateProbability == 0.0 || lateDelayCycles > 0.0,
             "FaultPlan.lateDelayCycles must be > 0 when "
             "lateProbability > 0");
-    sim::Tick prev_end = 0;
-    for (const StallWindow &w : stallWindows) {
-        require(w.begin < w.end,
-                "FaultPlan.stallWindows entries must have begin < end");
-        require(w.begin >= prev_end,
-                "FaultPlan.stallWindows must be sorted and disjoint");
-        prev_end = w.end;
-    }
+    requireWindows(stallWindows, "FaultPlan.stallWindows");
     if (deviceFailAtTick == kNeverTick) {
         require(deviceRecoverAtTick == kNeverTick,
                 "FaultPlan.deviceRecoverAtTick needs deviceFailAtTick");
@@ -78,7 +86,7 @@ FaultPlan::draw(std::uint64_t offloadIndex) const
     // One throwaway generator per offload keeps the draw a pure
     // function of (seed, index): fault outcomes cannot shift when
     // retries or scheduling change the order in which offloads issue.
-    Rng rng(mix(seed ^ mix(offloadIndex + 1)), kFaultStream);
+    Rng rng(slotSeed(seed, offloadIndex), kFaultStream);
     if (transferSpikeProbability > 0.0 &&
         rng.chance(transferSpikeProbability)) {
         d.transferFactor = transferSpikeFactor;
@@ -95,19 +103,14 @@ FaultPlan::draw(std::uint64_t offloadIndex) const
 bool
 FaultPlan::stalledAt(sim::Tick t) const
 {
-    return stallEnd(t) != t;
+    return windowAt(stallWindows, t) != nullptr;
 }
 
 sim::Tick
 FaultPlan::stallEnd(sim::Tick t) const
 {
-    for (const StallWindow &w : stallWindows) {
-        if (t < w.begin)
-            break; // sorted: later windows can't contain t
-        if (t < w.end)
-            return w.end;
-    }
-    return t;
+    const StallWindow *w = windowAt(stallWindows, t);
+    return w ? w->end : t;
 }
 
 bool

@@ -32,6 +32,18 @@ struct StallWindow
     sim::Tick end = 0;
 };
 
+/**
+ * @throws FatalError unless every window has begin < end and the list
+ * is sorted by begin and disjoint; @p field names the list in the
+ * message (e.g. "FaultPlan.stallWindows").
+ */
+void requireWindows(const std::vector<StallWindow> &windows,
+                    const char *field);
+
+/** The window of a sorted, disjoint list containing @p t, else null. */
+const StallWindow *windowAt(const std::vector<StallWindow> &windows,
+                            sim::Tick t);
+
 /** Faults applied to one offload, fixed by (seed, offload index). */
 struct FaultDraw
 {

@@ -83,21 +83,20 @@ autoscalerFromConfig(const Config &cfg, const std::string &section)
     a.scaleDownPressure =
         cfg.getDouble(section, "scale_down_pressure", 0.5);
     a.upWindows = static_cast<std::uint32_t>(
-        cfg.getDouble(section, "scale_up_windows", 1.0));
+        cfg.getCount(section, "scale_up_windows", 1));
     a.downWindows = static_cast<std::uint32_t>(
-        cfg.getDouble(section, "scale_down_windows", 3.0));
+        cfg.getCount(section, "scale_down_windows", 3));
     a.cooldownCycles = cfg.getDouble(section, "scale_cooldown", 0.0);
     a.minReplicas = static_cast<std::uint32_t>(
-        cfg.getDouble(section, "scale_min_replicas", 1.0));
-    a.maxReplicas = static_cast<std::uint32_t>(cfg.getDouble(
-        section, "scale_max_replicas",
-        static_cast<double>(a.minReplicas)));
+        cfg.getCount(section, "scale_min_replicas", 1));
+    a.maxReplicas = static_cast<std::uint32_t>(
+        cfg.getCount(section, "scale_max_replicas", a.minReplicas));
     a.scaleStep = static_cast<std::uint32_t>(
-        cfg.getDouble(section, "scale_step", 1.0));
+        cfg.getCount(section, "scale_step", 1));
     if (cfg.has(section, "scale_brownout_floor")) {
         a.brownout = true;
         a.brownoutFloor = static_cast<std::uint32_t>(
-            cfg.getDouble(section, "scale_brownout_floor"));
+            cfg.getCount(section, "scale_brownout_floor"));
     }
     a.brownoutTighten =
         cfg.getDouble(section, "scale_brownout_tighten", 0.5);

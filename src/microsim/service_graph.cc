@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "model/config_frontend.hh"
 #include "util/json_fmt.hh"
 #include "util/logging.hh"
 #include "util/string_utils.hh"
@@ -42,8 +43,6 @@ toString(BudgetSplit split)
     switch (split) {
       case BudgetSplit::Even:
         return "even";
-      case BudgetSplit::Weighted:
-        return "weighted";
       case BudgetSplit::ReserveForRetry:
         return "reserve_for_retry";
     }
@@ -55,12 +54,10 @@ budgetSplitFromString(const std::string &name)
 {
     if (name == "even")
         return BudgetSplit::Even;
-    if (name == "weighted")
-        return BudgetSplit::Weighted;
     if (name == "reserve_for_retry")
         return BudgetSplit::ReserveForRetry;
     fatal("unknown budget split '" + name +
-          "' (want even | weighted | reserve_for_retry)");
+          "' (want even | reserve_for_retry)");
 }
 
 bool
@@ -102,9 +99,6 @@ EdgeConfig::validate() const
                 "EdgeConfig.breaker requires rpcTimeoutCycles > 0 "
                 "(timeouts are the breaker's failure signal)");
     }
-    require(std::isfinite(budgetWeight) && budgetWeight > 0 &&
-                budgetWeight <= 1,
-            "EdgeConfig.budgetWeight must be in (0, 1]");
     require(style == CallStyle::Sync || !resilient(),
             "EdgeConfig: async edges take no timeouts, retries, retry "
             "budgets, or breakers (fire-and-forget has no join to "
@@ -402,18 +396,19 @@ ServiceGraph::errors() const
     }
 
     // Edges: valid shapes, known endpoints, no self-calls.
+    auto known = [this](const std::string &name) {
+        return std::any_of(specs_.begin(), specs_.end(),
+                           [&name](const ServiceSpec &spec) {
+                               return spec.name() == name;
+                           });
+    };
     for (const EdgeConfig &edge : edges_) {
         const std::string where =
             "edge " + edge.caller + " -> " + edge.callee + ": ";
         collect(out, where, [&edge] { edge.validate(); });
         bool endpoints = true;
         for (const std::string &end : {edge.caller, edge.callee}) {
-            bool found = false;
-            for (const ServiceSpec &spec : specs_) {
-                if (spec.name() == end)
-                    found = true;
-            }
-            if (!end.empty() && !found) {
+            if (!end.empty() && !known(end)) {
                 out.push_back(where + "no service named '" + end + "'");
                 endpoints = false;
             }
@@ -425,18 +420,10 @@ ServiceGraph::errors() const
 
     // The graph must be a DAG: a cycle would recurse forever (every
     // completion at a node on the cycle re-injects into the cycle).
-    bool resolvable = true;
-    for (const EdgeConfig &edge : edges_) {
-        for (const std::string &end : {edge.caller, edge.callee}) {
-            bool found = false;
-            for (const ServiceSpec &spec : specs_) {
-                if (spec.name() == end)
-                    found = true;
-            }
-            if (!found)
-                resolvable = false;
-        }
-    }
+    bool resolvable = std::all_of(
+        edges_.begin(), edges_.end(), [&known](const EdgeConfig &edge) {
+            return known(edge.caller) && known(edge.callee);
+        });
     if (resolvable && !specs_.empty()) {
         // Iterative DFS three-colouring over node indices.
         std::vector<std::vector<std::uint32_t>> adj(specs_.size());
@@ -693,68 +680,86 @@ ServiceGraph::issueCalls(std::uint64_t token)
             }
             continue;
         }
-        const faults::EdgeFaultPlan *plan =
-            edge.faultPlan && edge.faultPlan->active()
-                ? edge.faultPlan.get()
-                : nullptr;
+        // A plain edge sends each call once, with no chain and no
+        // timer; only a fault plan makes its single attempt worth
+        // counting.
+        bool faulty = edge.faultPlan && edge.faultPlan->active();
         for (std::uint32_t k = 0; k < edge.fanout; ++k) {
-            if (measuring_)
+            if (measuring_) {
                 ++metrics_.edges[e].callsIssued;
-            sim::Tick extra = 0;
-            if (plan) {
-                if (measuring_)
+                if (faulty)
                     ++metrics_.edges[e].attemptsIssued;
-                faults::EdgeFaultDraw d = plan->draw(edgeFaultSeq_[e]++);
-                bool lost = false;
-                if (plan->blackholedAt(eq_->now())) {
-                    lost = true;
-                    if (measuring_)
-                        ++metrics_.edges[e].callsBlackholed;
-                } else if (d.drop) {
-                    lost = true;
-                    if (measuring_)
-                        ++metrics_.edges[e].callsDropped;
-                }
-                if (lost) {
-                    // Only async edges may lose calls without a
-                    // timeout (validate() enforces it), and async
-                    // callers never joined — nothing else to do.
-                    continue;
-                }
-                if (plan->spikeActiveAt(eq_->now()))
-                    extra = static_cast<sim::Tick>(
-                        std::llround(d.extraLatencyCycles));
             }
-            if (edge.style == CallStyle::Sync)
+            // Only async edges may lose calls without a timeout
+            // (validate() enforces it), and async callers never join.
+            if (send(e, token, /*chainId=*/0, /*attemptNo=*/0,
+                     eq_->now(), parentDeadline) &&
+                edge.style == CallStyle::Sync)
                 ++c.pendingChildren;
-            sim::Tick issued = eq_->now();
-            sim::Tick childDeadline = splitDeadline(e, parentDeadline);
-            eq_->scheduleIn(drawEdgeLatency(e) + extra,
-                            [this, e, token, issued, childDeadline]() {
-                                deliverCall(e, token, issued,
-                                            childDeadline);
-                            });
         }
     }
 }
 
-void
-ServiceGraph::deliverCall(std::size_t edge, std::uint64_t parentToken,
-                          sim::Tick issuedAt, sim::Tick childDeadline)
+bool
+ServiceGraph::send(std::size_t edge, std::uint64_t parentToken,
+                   std::uint64_t chainId, std::uint32_t attemptNo,
+                   sim::Tick issuedAt, sim::Tick deadline)
 {
-    std::uint32_t callee = calleeIdx_[edge];
-    if (childDeadline != faults::kNeverTick &&
-        eq_->now() >= childDeadline) {
+    sim::Tick spike = 0;
+    const faults::EdgeFaultPlan *plan = edges_[edge].faultPlan.get();
+    if (plan && plan->active()) {
+        sim::Tick now = eq_->now();
+        faults::EdgeFaultDraw d = plan->draw(edgeFaultSeq_[edge]++);
+        if (plan->blackholedAt(now)) {
+            if (measuring_)
+                ++metrics_.edges[edge].callsBlackholed;
+            return false;
+        }
+        if (d.drop) {
+            if (measuring_)
+                ++metrics_.edges[edge].callsDropped;
+            return false;
+        }
+        if (plan->spikeActiveAt(now))
+            spike = static_cast<sim::Tick>(
+                std::llround(d.extraLatencyCycles));
+    }
+    eq_->scheduleIn(drawEdgeLatency(edge) + spike,
+                    [this, edge, parentToken, chainId, attemptNo, issuedAt,
+                     deadline]() {
+                        deliver(edge, parentToken, chainId, attemptNo,
+                                issuedAt, deadline);
+                    });
+    return true;
+}
+
+void
+ServiceGraph::deliver(std::size_t edge, std::uint64_t parentToken,
+                      std::uint64_t chainId, std::uint32_t attemptNo,
+                      sim::Tick issuedAt, sim::Tick deadline)
+{
+    // A chained delivery is live while its chain still waits on this
+    // attempt. Once the chain has timed the attempt out or settled,
+    // the delivery is a zombie: without a budget the callee has no
+    // way to know and runs it anyway, and its completion is
+    // attributed as callsCompletedIgnored.
+    EdgeCall *chain = liveChain(chainId, attemptNo);
+    bool joins = chainId == 0 && edges_[edge].style == CallStyle::Sync;
+    if (!chain && deadline != faults::kNeverTick &&
+        eq_->now() >= deadline) {
         // Cancelled at the door: the budget died in transit, so the
-        // callee never spends a cycle on it. The sync caller's join
-        // degrades rather than fails — upstream still answers.
+        // callee never spends a cycle on it. A plain sync caller's
+        // join degrades rather than fails — upstream still answers. A
+        // live attempt is left to its timer, clipped to the same
+        // budget.
         if (measuring_)
             ++metrics_.edges[edge].callsCancelledBudget;
-        if (edges_[edge].style == CallStyle::Sync)
+        if (joins)
             settleChild(parentToken, /*childFailed=*/false,
                         /*childDegraded=*/true);
         return;
     }
+    std::uint32_t callee = calleeIdx_[edge];
     std::uint64_t tok = nextToken_++;
     if (sims_[callee]->injectArrival(tok)) {
         Call c;
@@ -763,18 +768,33 @@ ServiceGraph::deliverCall(std::size_t edge, std::uint64_t parentToken,
         c.issuedAt = issuedAt;
         c.parentToken = parentToken;
         c.viaEdge = static_cast<std::int32_t>(edge);
-        c.deadline = childDeadline;
+        c.deadline = deadline;
+        c.chainId = chainId;
+        c.attemptNo = attemptNo;
         calls_.emplace(tok, c);
         return;
     }
-    // Shed at the callee's admission queue: the call never ran. A sync
-    // caller learns immediately (degenerate "rejection response") and
-    // the failure joins into its subtree.
+    // Shed at the callee's admission queue: the call never ran. A shed
+    // zombie has nobody to notify.
+    if (chainId != 0 && !chain)
+        return;
     if (measuring_)
         ++metrics_.edges[edge].callsShed;
-    if (edges_[edge].style == CallStyle::Sync)
+    if (chain) {
+        // A live attempt fails fast and lets the retry ladder decide
+        // what happens next.
+        if (chain->timer != sim::kInvalidTimer) {
+            eq_->cancelTimer(chain->timer);
+            chain->timer = sim::kInvalidTimer;
+        }
+        retryOrFail(chainId);
+    } else if (joins) {
+        // A plain sync caller learns immediately (degenerate
+        // "rejection response") and the failure joins into its
+        // subtree.
         settleChild(parentToken, /*childFailed=*/true,
                     /*childDegraded=*/false);
+    }
 }
 
 void
@@ -817,45 +837,46 @@ ServiceGraph::maybeFinishCall(std::uint64_t token)
     std::uint32_t attemptNo = c.attemptNo;
     sim::Tick issued = c.issuedAt;
     calls_.erase(it);
-    if (edges_[e].style == CallStyle::Async) {
-        // Fire-and-forget: the caller joined long ago; just close the
-        // edge's books. Failures are counted, never propagated.
-        if (measuring_) {
-            EdgeStats &es = metrics_.edges[e];
-            ++es.callsCompleted;
-            if (failed)
-                ++es.failuresPropagated;
-            if (degraded)
-                ++es.degradedPropagated;
-            es.rttCycles.add(static_cast<double>(now - issued));
-        }
-        return;
-    }
-    // Sync: the response pays the return hop, then joins at the caller.
-    eq_->scheduleIn(
-        drawEdgeLatency(e),
-        [this, e, parent, failed, degraded, chainId, attemptNo,
-         issued]() {
-            if (chainId != 0) {
-                // Resilient edge: the chain decides whether this
-                // response is live or a straggler from an abandoned
-                // attempt, and books the edge stats itself.
-                resolveChainReturn(e, chainId, attemptNo, failed,
-                                   degraded);
-                return;
-            }
-            if (measuring_) {
-                EdgeStats &es = metrics_.edges[e];
-                ++es.callsCompleted;
-                if (failed)
-                    ++es.failuresPropagated;
-                if (degraded)
-                    ++es.degradedPropagated;
-                es.rttCycles.add(
-                    static_cast<double>(eq_->now() - issued));
-            }
+    // A sync response pays the return hop, then joins at the caller. An
+    // async caller joined long ago, so its response only closes the
+    // edge's books at once: failures are counted, never propagated.
+    auto respond = [this, e, parent, failed, degraded, chainId, attemptNo,
+                    issued]() {
+        if (!bookResponse(e, chainId, attemptNo, issued, failed, degraded))
+            return;
+        if (chainId != 0)
+            settleChain(chainId, ChainOutcome::Success, failed, degraded);
+        else if (edges_[e].style == CallStyle::Sync)
             settleChild(parent, failed, degraded);
-        });
+    };
+    if (edges_[e].style == CallStyle::Async)
+        respond();
+    else
+        eq_->scheduleIn(drawEdgeLatency(e), std::move(respond));
+}
+
+bool
+ServiceGraph::bookResponse(std::size_t edge, std::uint64_t chainId,
+                           std::uint32_t attemptNo, sim::Tick issuedAt,
+                           bool childFailed, bool childDegraded)
+{
+    EdgeStats &es = metrics_.edges[edge];
+    if (chainId != 0 && !liveChain(chainId, attemptNo)) {
+        // A straggler from an abandoned attempt. The callee's cycles
+        // are already spent; all that is left is honest accounting.
+        if (measuring_)
+            ++es.callsCompletedIgnored;
+        return false;
+    }
+    if (measuring_) {
+        ++es.callsCompleted;
+        if (childFailed)
+            ++es.failuresPropagated;
+        if (childDegraded)
+            ++es.degradedPropagated;
+        es.rttCycles.add(static_cast<double>(eq_->now() - issuedAt));
+    }
+    return true;
 }
 
 void
@@ -886,27 +907,18 @@ ServiceGraph::drawEdgeLatency(std::size_t edge)
 }
 
 // --------------------------------------------------------------------
-// Resilient edge dispatch
+// Resilient edge chains
 // --------------------------------------------------------------------
 
-sim::Tick
-ServiceGraph::splitDeadline(std::size_t edge, sim::Tick parentDeadline)
+ServiceGraph::EdgeCall *
+ServiceGraph::liveChain(std::uint64_t chainId, std::uint32_t attemptNo)
 {
-    if (parentDeadline == faults::kNeverTick)
-        return faults::kNeverTick;
-    sim::Tick now = eq_->now();
-    if (parentDeadline <= now)
-        return now; // exhausted: the callee will cancel at the door
-    const EdgeConfig &cfg = edges_[edge];
-    if (cfg.budgetSplit == BudgetSplit::Weighted) {
-        double remaining = static_cast<double>(parentDeadline - now);
-        return now + std::max<sim::Tick>(
-                         1, static_cast<sim::Tick>(std::llround(
-                                remaining * cfg.budgetWeight)));
-    }
-    // Even inherits the caller's absolute deadline; ReserveForRetry
-    // slices it per attempt later, in startAttempt.
-    return parentDeadline;
+    if (chainId == 0)
+        return nullptr; // a plain call has no chain
+    auto it = chains_.find(chainId);
+    if (it == chains_.end() || it->second.attempt != attemptNo)
+        return nullptr;
+    return &it->second;
 }
 
 void
@@ -929,7 +941,7 @@ ServiceGraph::startChain(std::size_t edge, std::uint64_t parentToken,
     ec.edge = edge;
     ec.parentToken = parentToken;
     ec.issuedAt = eq_->now();
-    ec.deadline = splitDeadline(edge, parentDeadline);
+    ec.deadline = parentDeadline;
     ec.probe = gate.probe;
     chains_.emplace(id, ec);
     if (measuring_) {
@@ -960,8 +972,8 @@ ServiceGraph::startAttempt(std::uint64_t chainId)
     if (measuring_)
         ++metrics_.edges[ec.edge].attemptsIssued;
 
-    // The attempt's budget slice. Even/Weighted hand each attempt the
-    // whole chain deadline (a retry inherits whatever is left);
+    // The attempt's budget slice. Even hands each attempt the whole
+    // chain deadline (a retry inherits whatever is left);
     // ReserveForRetry divides the remainder by the attempts still
     // available so a full retry ladder fits inside the budget.
     sim::Tick sliceEnd = ec.deadline;
@@ -974,42 +986,13 @@ ServiceGraph::startAttempt(std::uint64_t chainId)
                                     remaining / left)));
     }
 
-    bool lost = false;
-    sim::Tick extra = 0;
-    if (cfg.faultPlan && cfg.faultPlan->active()) {
-        faults::EdgeFaultDraw d =
-            cfg.faultPlan->draw(edgeFaultSeq_[ec.edge]++);
-        if (cfg.faultPlan->blackholedAt(now)) {
-            lost = true;
-            if (measuring_)
-                ++metrics_.edges[ec.edge].callsBlackholed;
-        } else if (d.drop) {
-            lost = true;
-            if (measuring_)
-                ++metrics_.edges[ec.edge].callsDropped;
-        }
-        if (cfg.faultPlan->spikeActiveAt(now))
-            extra = static_cast<sim::Tick>(
-                std::llround(d.extraLatencyCycles));
-    }
-
-    if (!lost) {
-        // The child's deadline is the attempt slice — never the RPC
-        // timeout. A caller without a deadline budget gets no
-        // cancellation help: its abandoned attempts run to completion
-        // downstream, which is exactly the waste the budgeted arm of
-        // the cascade bench eliminates.
-        sim::Tick childDeadline = sliceEnd;
-        sim::Tick issued = ec.issuedAt;
-        std::uint32_t attemptNo = ec.attempt;
-        std::size_t e = ec.edge;
-        eq_->scheduleIn(drawEdgeLatency(ec.edge) + extra,
-                        [this, e, chainId, attemptNo, childDeadline,
-                         issued]() {
-                            deliverAttempt(e, chainId, attemptNo,
-                                           childDeadline, issued);
-                        });
-    }
+    // The child's deadline is the attempt slice — never the RPC
+    // timeout. A caller without a deadline budget gets no cancellation
+    // help: its abandoned attempts run to completion downstream, which
+    // is exactly the waste the budgeted arm of the cascade bench
+    // eliminates.
+    bool lost = !send(ec.edge, ec.parentToken, chainId, ec.attempt,
+                      ec.issuedAt, sliceEnd);
 
     // Arm the attempt timer: the RPC timeout, clipped to the slice so
     // an attempt never outlives the budget it was given.
@@ -1073,93 +1056,6 @@ ServiceGraph::retryOrFail(std::uint64_t chainId)
     if (measuring_)
         ++metrics_.edges[ec.edge].attemptsRetried;
     startAttempt(chainId);
-}
-
-void
-ServiceGraph::deliverAttempt(std::size_t edge, std::uint64_t chainId,
-                             std::uint32_t attemptNo,
-                             sim::Tick childDeadline, sim::Tick issuedAt)
-{
-    std::uint32_t callee = calleeIdx_[edge];
-    auto it = chains_.find(chainId);
-    bool live = it != chains_.end() && it->second.attempt == attemptNo;
-    if (!live) {
-        // The chain abandoned this attempt (timeout fired, or the call
-        // settled) before the network delivered it. With a budget the
-        // delivery is cancelled at the door; without one the callee
-        // has no way to know and runs it anyway — a zombie whose
-        // completion we attribute as callsCompletedIgnored.
-        if (childDeadline != faults::kNeverTick &&
-            eq_->now() >= childDeadline) {
-            if (measuring_)
-                ++metrics_.edges[edge].callsCancelledBudget;
-            return;
-        }
-        std::uint64_t tok = nextToken_++;
-        if (sims_[callee]->injectArrival(tok)) {
-            Call c;
-            c.node = callee;
-            c.arrivedAt = eq_->now();
-            c.issuedAt = issuedAt;
-            c.viaEdge = static_cast<std::int32_t>(edge);
-            c.deadline = childDeadline;
-            c.chainId = chainId;
-            c.attemptNo = attemptNo;
-            calls_.emplace(tok, c);
-        }
-        // A shed zombie has nobody to notify.
-        return;
-    }
-    std::uint64_t tok = nextToken_++;
-    if (sims_[callee]->injectArrival(tok)) {
-        Call c;
-        c.node = callee;
-        c.arrivedAt = eq_->now();
-        c.issuedAt = issuedAt;
-        c.parentToken = it->second.parentToken;
-        c.viaEdge = static_cast<std::int32_t>(edge);
-        c.deadline = childDeadline;
-        c.chainId = chainId;
-        c.attemptNo = attemptNo;
-        calls_.emplace(tok, c);
-        return;
-    }
-    // Shed at the callee's admission queue: fail fast and let the
-    // retry ladder decide what happens next.
-    if (measuring_)
-        ++metrics_.edges[edge].callsShed;
-    if (it->second.timer != sim::kInvalidTimer) {
-        eq_->cancelTimer(it->second.timer);
-        it->second.timer = sim::kInvalidTimer;
-    }
-    retryOrFail(chainId);
-}
-
-void
-ServiceGraph::resolveChainReturn(std::size_t edge, std::uint64_t chainId,
-                                 std::uint32_t attemptNo, bool childFailed,
-                                 bool childDegraded)
-{
-    auto it = chains_.find(chainId);
-    if (it == chains_.end() || it->second.attempt != attemptNo) {
-        // A straggler from an abandoned attempt. The callee's cycles
-        // are already spent; all that is left is honest accounting.
-        if (measuring_)
-            ++metrics_.edges[edge].callsCompletedIgnored;
-        return;
-    }
-    if (measuring_) {
-        EdgeStats &es = metrics_.edges[edge];
-        ++es.callsCompleted;
-        if (childFailed)
-            ++es.failuresPropagated;
-        if (childDegraded)
-            ++es.degradedPropagated;
-        es.rttCycles.add(
-            static_cast<double>(eq_->now() - it->second.issuedAt));
-    }
-    settleChain(chainId, ChainOutcome::Success, childFailed,
-                childDegraded);
 }
 
 void
@@ -1241,30 +1137,9 @@ edgeFromConfig(const Config &cfg, const std::string &section,
         cfg.getDouble(section, key("retry_budget_cap"), 0.0);
     e.budgetSplit = budgetSplitFromString(
         cfg.getString(section, key("budget_split"), "even"));
-    e.budgetWeight = cfg.getDouble(section, key("budget_weight"), 0.5);
     e.breaker = breakerFromConfig(cfg, section, prefix);
     // Any fault key enables the plan. No short-circuit: every key must
     // be probed so unusedKeys() sees them all.
-    auto parse_windows = [&cfg, &section](const std::string &wkey) {
-        std::vector<faults::StallWindow> windows;
-        for (const std::string &w :
-             split(cfg.getString(section, wkey), ',')) {
-            std::vector<std::string> ends = split(w, ':');
-            if (ends.size() != 2)
-                fatal("config key '" + wkey +
-                      "': want begin:end[,begin:end] in ticks, got '" +
-                      w + "'");
-            faults::StallWindow win;
-            try {
-                win.begin = parseCount(trim(ends[0]));
-                win.end = parseCount(trim(ends[1]));
-            } catch (const FatalError &err) {
-                fatal("config key '" + wkey + "': " + err.what());
-            }
-            windows.push_back(win);
-        }
-        return windows;
-    };
     bool f_seed = cfg.has(section, key("fault_seed"));
     bool f_drop = cfg.has(section, key("fault_drop_p"));
     bool f_spike = cfg.has(section, key("fault_spike_p"));
@@ -1282,10 +1157,11 @@ edgeFromConfig(const Config &cfg, const std::string &section,
         plan->spikeLatencyCycles =
             cfg.getDouble(section, key("fault_spike_cycles"), 0.0);
         if (f_spike_windows)
-            plan->spikeWindows =
-                parse_windows(key("fault_spike_windows"));
+            plan->spikeWindows = model::windowsFromConfig(
+                cfg, section, key("fault_spike_windows"));
         if (f_blackholes)
-            plan->blackholes = parse_windows(key("fault_blackholes"));
+            plan->blackholes = model::windowsFromConfig(
+                cfg, section, key("fault_blackholes"));
         e.faultPlan = std::move(plan);
     }
     return e;

@@ -63,8 +63,6 @@ enum class BudgetSplit
 {
     /** Child inherits the caller's absolute deadline unchanged. */
     Even,
-    /** Child gets budgetWeight x the caller's remaining budget. */
-    Weighted,
     /**
      * Each attempt gets remaining / (attempts left), so a full retry
      * ladder still fits inside the caller's budget.
@@ -140,15 +138,13 @@ struct EdgeConfig
     /** Deadline budget-split policy for this edge's calls. */
     BudgetSplit budgetSplit = BudgetSplit::Even;
 
-    /** Fraction of remaining budget per child (Weighted split). */
-    double budgetWeight = 0.5;
-
     /** Edge fault schedule (drops, spikes, blackholes); null = none. */
     std::shared_ptr<const faults::EdgeFaultPlan> faultPlan;
 
     /**
-     * True when this edge needs the attempt/chain machinery rather
-     * than the legacy fire-once dispatch path.
+     * True when each call runs as a chain of timed attempts (timeout,
+     * retries, retry budget, or breaker set); otherwise a call is sent
+     * once, with no chain and no timer.
      */
     bool resilient() const;
 
@@ -160,7 +156,7 @@ struct EdgeConfig
  * Parse one edge from `<prefix>*` keys of @p section (the graph
  * config convention uses `edge_<i>_` prefixes): caller, callee,
  * fanout, style, latency, jitter, timeout, max_attempts,
- * retry_budget_ratio, retry_budget_cap, budget_split, budget_weight,
+ * retry_budget_ratio, retry_budget_cap, budget_split,
  * breaker_{open_threshold,window,min_samples,probe_after} (presence
  * of breaker_open_threshold enables), and
  * fault_{seed,drop_p,spike_p,spike_cycles,spike_windows,blackholes}
@@ -412,7 +408,7 @@ class ServiceGraph
         std::size_t edge = 0;
         std::uint64_t parentToken = 0;
         sim::Tick issuedAt = 0; //!< first-attempt issue tick (RTT base)
-        /** Chain deadline after the edge's budget split; kNever = none. */
+        /** The caller's absolute deadline; kNeverTick = none. */
         sim::Tick deadline = faults::kNeverTick;
         std::uint32_t attempt = 0; //!< current attempt, 1-based
         sim::TimerId timer = sim::kInvalidTimer;
@@ -434,26 +430,32 @@ class ServiceGraph
     void onNodeCompletion(std::uint32_t node, std::uint64_t token,
                           sim::Tick arrivedAt, bool failed);
     void issueCalls(std::uint64_t token);
-    void deliverCall(std::size_t edge, std::uint64_t parentToken,
-                     sim::Tick issuedAt, sim::Tick childDeadline);
+
+    // --- one call path: plain calls (chainId 0) and chained attempts ---
+    /** False when the edge's fault plan loses the attempt. */
+    bool send(std::size_t edge, std::uint64_t parentToken,
+              std::uint64_t chainId, std::uint32_t attemptNo,
+              sim::Tick issuedAt, sim::Tick deadline);
+    void deliver(std::size_t edge, std::uint64_t parentToken,
+                 std::uint64_t chainId, std::uint32_t attemptNo,
+                 sim::Tick issuedAt, sim::Tick deadline);
     void maybeFinishCall(std::uint64_t token);
+    /** False for a straggler from an abandoned attempt. */
+    bool bookResponse(std::size_t edge, std::uint64_t chainId,
+                      std::uint32_t attemptNo, sim::Tick issuedAt,
+                      bool childFailed, bool childDegraded);
     void settleChild(std::uint64_t parentToken, bool childFailed,
                      bool childDegraded);
     sim::Tick drawEdgeLatency(std::size_t edge);
 
-    // --- resilient edge dispatch (timeout / retry / breaker / budget) ---
-    sim::Tick splitDeadline(std::size_t edge, sim::Tick parentDeadline);
+    // --- resilient edge chains (timeout / retry / breaker / budget) ---
+    /** The chain still waiting on @p attemptNo, else null. */
+    EdgeCall *liveChain(std::uint64_t chainId, std::uint32_t attemptNo);
     void startChain(std::size_t edge, std::uint64_t parentToken,
                     sim::Tick parentDeadline);
     void startAttempt(std::uint64_t chainId);
     void onAttemptTimeout(std::uint64_t chainId);
     void retryOrFail(std::uint64_t chainId);
-    void deliverAttempt(std::size_t edge, std::uint64_t chainId,
-                        std::uint32_t attemptNo, sim::Tick childDeadline,
-                        sim::Tick issuedAt);
-    void resolveChainReturn(std::size_t edge, std::uint64_t chainId,
-                            std::uint32_t attemptNo, bool childFailed,
-                            bool childDegraded);
     void settleChain(std::uint64_t chainId, ChainOutcome outcome,
                      bool childFailed, bool childDegraded);
 

@@ -14,16 +14,6 @@ namespace accel::microsim {
 
 namespace {
 
-/** splitmix64 finalizer: decorrelates (seed, index) into an Rng seed. */
-std::uint64_t
-mix(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 constexpr std::uint64_t kDispatchStream = 0xd15ULL;
 
 /** Watchdogs outrank completions at the same tick, matching the retry
@@ -107,7 +97,7 @@ tierFromConfig(const Config &cfg, const std::string &section)
 {
     TierConfig tier;
     tier.replicas = static_cast<std::uint32_t>(
-        cfg.getDouble(section, "tier_replicas", 1.0));
+        cfg.getCount(section, "tier_replicas", 1));
     tier.policy = dispatchPolicyFromString(
         cfg.getString(section, "tier_policy", "round-robin"));
     if (cfg.has(section, "tier_hedge_delay")) {
@@ -120,13 +110,12 @@ tierFromConfig(const Config &cfg, const std::string &section)
             cfg.getDouble(section, "tier_health_timeout");
     }
     tier.ejectAfterFailures = static_cast<std::uint32_t>(
-        cfg.getDouble(section, "tier_eject_after", 3.0));
+        cfg.getCount(section, "tier_eject_after", 3));
     tier.readmitAfterCycles =
         cfg.getDouble(section, "tier_readmit_after", 1e6);
     tier.maxFailovers = static_cast<std::uint32_t>(
-        cfg.getDouble(section, "tier_max_failovers", 3.0));
-    tier.seed = static_cast<std::uint64_t>(
-        cfg.getDouble(section, "tier_seed", 1.0));
+        cfg.getCount(section, "tier_max_failovers", 3));
+    tier.seed = cfg.getCount(section, "tier_seed", 1);
 
     // Per-replica fault plans: fault_r<k>_* keys, parsed by the same
     // front end as device-level fault_* keys. Only materialise the
@@ -223,7 +212,7 @@ AcceleratorTier::AcceleratorTier(sim::EventQueue &eq,
             // slot-indexed per (replica, offload) yet independent.
             auto reseeded =
                 std::make_shared<faults::FaultPlan>(*rc.faultPlan);
-            reseeded->seed = mix(rc.faultPlan->seed ^ mix(r + 1));
+            reseeded->seed = slotSeed(rc.faultPlan->seed, r);
             rc.faultPlan = std::move(reseeded);
         }
         replicas_.push_back(std::make_unique<Accelerator>(eq_, rc));
@@ -507,8 +496,7 @@ AcceleratorTier::pickReplica(size_t exclude, bool *isProbe)
         // Slot-indexed draws: the pair sampled for dispatch #i is a
         // pure function of (seed, i), so retries and hedges elsewhere
         // cannot shift it.
-        Rng rng(mix(cfg_.seed ^ mix(dispatchIndex_ + 1)),
-                kDispatchStream);
+        Rng rng(slotSeed(cfg_.seed, dispatchIndex_), kDispatchStream);
         ++dispatchIndex_;
         size_t a = candidates[rng.below(
             static_cast<std::uint32_t>(candidates.size()))];

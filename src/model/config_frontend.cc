@@ -99,8 +99,7 @@ faultPlanFromConfig(const Config &cfg, const std::string &section,
         return nullptr;
 
     faults::FaultPlan plan;
-    plan.seed = static_cast<std::uint64_t>(
-        cfg.getDouble(section, prefix + "seed", 1.0));
+    plan.seed = cfg.getCount(section, prefix + "seed", 1);
     plan.dropProbability = cfg.getDouble(section, prefix + "drop_p", 0.0);
     plan.lateProbability = cfg.getDouble(section, prefix + "late_p", 0.0);
     plan.lateDelayCycles =
@@ -109,33 +108,38 @@ faultPlanFromConfig(const Config &cfg, const std::string &section,
         cfg.getDouble(section, prefix + "spike_p", 0.0);
     plan.transferSpikeFactor =
         cfg.getDouble(section, prefix + "spike_factor", 1.0);
-    if (cfg.has(section, prefix + "stalls")) {
-        for (const std::string &part :
-             split(cfg.getString(section, prefix + "stalls"), ',')) {
-            std::string window = trim(part);
-            if (window.empty())
-                continue;
-            auto fields = split(window, ':');
-            require(fields.size() == 2,
-                    prefix + "stalls: expected begin:end, got '" +
-                        window + "'");
-            plan.stallWindows.push_back(
-                {static_cast<sim::Tick>(parseDouble(fields[0])),
-                 static_cast<sim::Tick>(parseDouble(fields[1]))});
-        }
-        require(!plan.stallWindows.empty(),
-                prefix + "stalls: no windows");
-    }
-    if (cfg.has(section, prefix + "fail_at")) {
-        plan.deviceFailAtTick = static_cast<sim::Tick>(
-            cfg.getDouble(section, prefix + "fail_at"));
-    }
-    if (cfg.has(section, prefix + "recover_at")) {
-        plan.deviceRecoverAtTick = static_cast<sim::Tick>(
-            cfg.getDouble(section, prefix + "recover_at"));
-    }
+    if (cfg.has(section, prefix + "stalls"))
+        plan.stallWindows = windowsFromConfig(cfg, section, prefix + "stalls");
+    if (cfg.has(section, prefix + "fail_at"))
+        plan.deviceFailAtTick = cfg.getCount(section, prefix + "fail_at");
+    if (cfg.has(section, prefix + "recover_at"))
+        plan.deviceRecoverAtTick =
+            cfg.getCount(section, prefix + "recover_at");
     plan.validate();
     return std::make_shared<const faults::FaultPlan>(std::move(plan));
+}
+
+std::vector<faults::StallWindow>
+windowsFromConfig(const Config &cfg, const std::string &section,
+                  const std::string &key)
+{
+    std::vector<faults::StallWindow> windows;
+    for (const std::string &w : split(cfg.getString(section, key), ',')) {
+        std::vector<std::string> ends = split(w, ':');
+        if (ends.size() != 2)
+            fatal("config key '" + key +
+                  "': want begin:end[,begin:end] in ticks, got '" + w +
+                  "'");
+        faults::StallWindow win;
+        try {
+            win.begin = parseCount(trim(ends[0]));
+            win.end = parseCount(trim(ends[1]));
+        } catch (const FatalError &err) {
+            fatal("config key '" + key + "': " + err.what());
+        }
+        windows.push_back(win);
+    }
+    return windows;
 }
 
 std::vector<ConfigCase>

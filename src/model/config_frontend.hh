@@ -105,6 +105,16 @@ std::shared_ptr<const faults::FaultPlan>
 faultPlanFromConfig(const Config &cfg, const std::string &section,
                     const std::string &prefix);
 
+/**
+ * Parse a required `begin:end[,begin:end]` tick-window list (the
+ * device `fault_stalls` and the edge `fault_spike_windows` /
+ * `fault_blackholes` keys). Ends are counts, so sci notation is fine.
+ * @throws FatalError naming @p key on a malformed entry.
+ */
+std::vector<faults::StallWindow>
+windowsFromConfig(const Config &cfg, const std::string &section,
+                  const std::string &key);
+
 /** Parse every section of a config into cases, preserving order. */
 std::vector<ConfigCase> casesFromConfig(const Config &cfg);
 

@@ -126,4 +126,22 @@ class Rng
     std::uint64_t inc_;
 };
 
+/**
+ * Seed for slot @p slot of a slot-indexed draw sequence (offload i,
+ * call i, replica i): a pure function of (seed, slot), decorrelated by
+ * the splitmix64 finalizer, so what one slot draws cannot shift when
+ * retries or scheduling change the order in which slots are drawn.
+ */
+inline std::uint64_t
+slotSeed(std::uint64_t seed, std::uint64_t slot)
+{
+    auto mix = [](std::uint64_t x) {
+        x += 0x9e3779b97f4a7c15ULL;
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+        return x ^ (x >> 31);
+    };
+    return mix(seed ^ mix(slot + 1));
+}
+
 } // namespace accel

@@ -190,6 +190,19 @@ TEST(AutoscalerConfig, FromConfigParsesAllKeys)
     EXPECT_DOUBLE_EQ(a.brownoutRelax, 3.0);
 }
 
+TEST(AutoscalerConfig, FromConfigRejectsNonCountValues)
+{
+    for (const char *line :
+         {"scale_step = -1", "scale_up_windows = 1.5",
+          "scale_min_replicas = nan", "scale_max_replicas = -4",
+          "scale_brownout_floor = 2.5"}) {
+        Config cfg =
+            Config::fromString(std::string("[svc]\n") + line + "\n");
+        EXPECT_THROW(autoscalerFromConfig(cfg, "svc"), FatalError)
+            << line;
+    }
+}
+
 TEST(AutoscalerConfig, FromConfigRequiresSloWithInterval)
 {
     Config cfg = Config::fromString("[svc]\nscale_interval = 1e6\n");

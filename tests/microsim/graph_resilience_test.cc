@@ -40,6 +40,14 @@ tier(const std::string &name, double arrivalsPerSec, double meanCycles,
         .seed(seed);
 }
 
+/** @p spec with its admission queue bounded at @p depth requests. */
+ServiceSpec
+bounded(ServiceSpec spec, std::uint32_t depth)
+{
+    spec.service().maxArrivalQueue = depth;
+    return spec;
+}
+
 /** A blackhole plan swallowing every call from tick 0 onward. */
 std::shared_ptr<const faults::EdgeFaultPlan>
 foreverBlackhole()
@@ -97,26 +105,15 @@ TEST(EdgeConfigValidate, AsyncEdgesTakeNoResilienceLayer)
     EXPECT_THROW(e.validate(), FatalError);
 }
 
-TEST(EdgeConfigValidate, BudgetWeightDomain)
-{
-    EdgeConfig e;
-    e.caller = "a";
-    e.callee = "b";
-    e.budgetWeight = 0.0;
-    EXPECT_THROW(e.validate(), FatalError);
-    e.budgetWeight = 1.5;
-    EXPECT_THROW(e.validate(), FatalError);
-}
-
 TEST(BudgetSplitNames, RoundTrip)
 {
     EXPECT_EQ(budgetSplitFromString("even"), BudgetSplit::Even);
-    EXPECT_EQ(budgetSplitFromString("weighted"), BudgetSplit::Weighted);
     EXPECT_EQ(budgetSplitFromString("reserve_for_retry"),
               BudgetSplit::ReserveForRetry);
     EXPECT_STREQ(toString(BudgetSplit::ReserveForRetry),
                  "reserve_for_retry");
     EXPECT_THROW(budgetSplitFromString("fair"), FatalError);
+    EXPECT_THROW(budgetSplitFromString("weighted"), FatalError);
 }
 
 TEST(GraphResilience, TimeoutsFailCallsAndZombiesAreCounted)
@@ -272,6 +269,89 @@ TEST(GraphResilience, OverBudgetDeliveryIsCancelledAtTheDoor)
     EXPECT_GT(es.callsCancelledBudget, 0u);
     EXPECT_EQ(m.node("leaf").service.requestsArrived, 0u);
     EXPECT_EQ(m.rootsDegraded, m.rootsCompleted);
+}
+
+TEST(GraphResilience, AsyncDeliveryIsCancelledAtTheDoorWithoutDegrading)
+{
+    // Same budget-killing hop on a fire-and-forget edge: the delivery
+    // is still cancelled at the door, but the caller never joined on
+    // it, so the root completes healthy rather than degraded.
+    ServiceGraph g(43);
+    g.addService(tier("web", /*arrivalsPerSec=*/1000, 10e3, 43));
+    g.addService(tier("leaf", 0, 5e3, 44));
+    EdgeConfig e;
+    e.caller = "web";
+    e.callee = "leaf";
+    e.style = CallStyle::Async;
+    e.latencyCycles = 100e3;
+    g.addEdge(e);
+    g.rootDeadline(50e3);
+    GraphMetrics m = g.run(0.02, 0.0);
+
+    const EdgeStats &es = m.edges.at(0);
+    EXPECT_GT(es.callsCancelledBudget, 0u);
+    EXPECT_EQ(m.node("leaf").service.requestsArrived, 0u);
+    EXPECT_GT(m.rootsCompleted, 0u);
+    EXPECT_EQ(m.rootsDegraded, 0u);
+    EXPECT_EQ(m.rootsFailed, 0u);
+}
+
+TEST(GraphResilience, ShedLiveAttemptRetriesThenFails)
+{
+    // The callee queues one request at a time and serves 500k cycles
+    // each against a ~100k-cycle call gap, so most attempts are shed
+    // at admission. A shed live attempt fails fast: its timer is
+    // cancelled and the ladder retries at once, and a second shed
+    // fails the call. The timeout is far above the worst admitted
+    // RTT, so no timer ever fires.
+    ServiceGraph g(37);
+    g.addService(tier("web", /*arrivalsPerSec=*/10000, 10e3, 37));
+    g.addService(bounded(tier("leaf", 0, 500e3, 38), 1));
+    EdgeConfig e;
+    e.caller = "web";
+    e.callee = "leaf";
+    e.latencyCycles = 1e3;
+    e.rpcTimeoutCycles = 5e6;
+    e.maxAttempts = 2;
+    g.addEdge(e);
+    GraphMetrics m = g.run(0.02, 0.0);
+
+    const EdgeStats &es = m.edges.at(0);
+    EXPECT_GT(es.callsShed, 0u);
+    EXPECT_GT(es.attemptsRetried, 0u);
+    EXPECT_GT(es.callsFailed, 0u);
+    EXPECT_EQ(es.attemptsTimedOut, 0u);
+    EXPECT_EQ(es.callsCompletedIgnored, 0u);
+    // Every delivery was live, so every callee shed is the edge's.
+    EXPECT_EQ(m.node("leaf").service.requestsShed, es.callsShed);
+    EXPECT_GT(m.rootsFailed, 0u);
+}
+
+TEST(GraphResilience, ShedZombiesCountNothingOnTheEdge)
+{
+    // The 30k-cycle hop outlives the 20k timeout, so every delivery
+    // reaches a chain that has already abandoned its attempt. The
+    // zombies still load the one-deep callee queue and are shed
+    // there, but a shed zombie has nobody to notify: the callee
+    // counts the shed, the edge does not.
+    ServiceGraph g(47);
+    g.addService(tier("web", /*arrivalsPerSec=*/10000, 10e3, 47));
+    g.addService(bounded(tier("leaf", 0, 500e3, 48), 1));
+    EdgeConfig e;
+    e.caller = "web";
+    e.callee = "leaf";
+    e.latencyCycles = 30e3;
+    e.rpcTimeoutCycles = 20e3;
+    e.maxAttempts = 2;
+    g.addEdge(e);
+    GraphMetrics m = g.run(0.02, 0.0);
+
+    const EdgeStats &es = m.edges.at(0);
+    EXPECT_GT(m.node("leaf").service.requestsShed, 0u);
+    EXPECT_EQ(es.callsShed, 0u);
+    EXPECT_GT(es.attemptsTimedOut, 0u);
+    EXPECT_EQ(es.callsCompleted, 0u);
+    EXPECT_GT(es.callsCompletedIgnored, 0u);
 }
 
 TEST(GraphResilience, AsyncFaultPlanLosesCallsWithoutFailingRoots)

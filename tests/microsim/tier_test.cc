@@ -520,6 +520,20 @@ TEST(AcceleratorTier, TierFromConfigDefaultsToTrivial)
         FatalError);
 }
 
+TEST(AcceleratorTier, TierFromConfigRejectsNonCountValues)
+{
+    // Integer keys parse as counts: a fractional, negative or nan
+    // value is an error, never a silently truncated count.
+    for (const char *line :
+         {"tier_replicas = 2.5", "tier_replicas = -2",
+          "tier_eject_after = nan", "tier_max_failovers = 1.5",
+          "tier_seed = -1"}) {
+        Config cfg =
+            Config::fromString(std::string("[svc]\n") + line + "\n");
+        EXPECT_THROW(tierFromConfig(cfg, "svc"), FatalError) << line;
+    }
+}
+
 // --------------------------------------------------------------------
 // Dynamic capacity: setActiveReplicas / drain / standby lifecycle
 // --------------------------------------------------------------------

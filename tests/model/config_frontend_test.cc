@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -192,6 +193,20 @@ TEST(ConfigFrontend, FaultPlanRejectsMalformedStalls)
     EXPECT_THROW(faultPlanFromConfig(bad2, "x"), FatalError);
     Config bad3 = Config::fromString("[x]\nfault_stalls = ,\n");
     EXPECT_THROW(faultPlanFromConfig(bad3, "x"), FatalError);
+}
+
+TEST(ConfigFrontend, FaultPlanRejectsNonCountTicks)
+{
+    // Ticks and seeds parse as counts, with the edge window rules: no
+    // negative, fractional or nan ends, and no empty list entries.
+    for (const char *line :
+         {"fault_stalls = -5:10", "fault_stalls = 5:10.5",
+          "fault_stalls = 1:2,", "fault_fail_at = -1",
+          "fault_recover_at = nan", "fault_seed = 2.5"}) {
+        Config cfg =
+            Config::fromString(std::string("[x]\n") + line + "\n");
+        EXPECT_THROW(faultPlanFromConfig(cfg, "x"), FatalError) << line;
+    }
 }
 
 TEST(ConfigFrontend, FaultPlanValidationPropagates)
