@@ -309,6 +309,23 @@ TEST(ServiceGraph, FaultOffEdgesNeverEnterTheResilienceLayer)
     EXPECT_EQ(m.node("web").subtreesPrunedBudget, 0u);
 }
 
+TEST(ServiceGraph, NodeAndGraphWindowsOpenTogether)
+{
+    // A root starts, its one call is issued and the front end's request
+    // completes in the same event, so the three counters agree only if
+    // the node's window and the graph's open at the same tick.
+    ServiceGraph graph(3);
+    graph.addService(node("web", 50000));
+    graph.addService(node("db"));
+    graph.addEdge(edge("web", "db"));
+    GraphMetrics gm = graph.run(0.05, 0.01);
+
+    ASSERT_GT(gm.rootsStarted, 0u);
+    EXPECT_EQ(gm.node("web").service.requestsShed, 0u);
+    EXPECT_EQ(gm.edges.front().callsIssued, gm.rootsStarted);
+    EXPECT_EQ(gm.node("web").service.requestsCompleted, gm.rootsStarted);
+}
+
 TEST(ServiceGraph, SameSeedReplaysBitIdentically)
 {
     auto build = []() {
