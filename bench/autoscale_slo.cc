@@ -32,6 +32,7 @@
 #include "microsim/service_sim.hh"
 #include "microsim/tier.hh"
 #include "model/queueing.hh"
+#include "util/thread_pool.hh"
 
 using namespace accel;
 using model::ThreadingDesign;
@@ -258,7 +259,7 @@ main(int argc, char **argv)
         traceArm("flash/autoscaled", flash, flash_k, true),
         stationary,
     };
-    arms = bench::shardConfigs(arms, [&](Arm arm) {
+    arms = parallelMap(arms, [&](Arm arm) {
         microsim::ServiceSim sim(microsim::ServiceSpec(arm.name)
                                      .service(arm.svc)
                                      .accelerator(arm.dev)

@@ -22,7 +22,6 @@
 #include "util/logging.hh"
 #include "util/string_utils.hh"
 #include "util/table.hh"
-#include "util/thread_pool.hh"
 #include "workload/granularities.hh"
 #include "workload/profiles.hh"
 
@@ -91,20 +90,6 @@ banner(const std::string &title)
 
 /** Traces per service for pipeline cross-checks (speed/precision). */
 constexpr size_t kTraceCount = 120000;
-
-/**
- * Shard independent per-config evaluations (simulator runs, fleet
- * projections) across the global worker pool — width from ACCEL_JOBS,
- * default hardware concurrency, 1 = serial. Results come back in input
- * order, so every table and CSV block prints identically for any
- * worker count.
- */
-template <typename Config, typename Fn>
-auto
-shardConfigs(const std::vector<Config> &configs, Fn &&fn)
-{
-    return parallelMap(configs, std::forward<Fn>(fn));
-}
 
 /**
  * Print one characterization figure: for each characterized service a

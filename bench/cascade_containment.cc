@@ -31,8 +31,8 @@
  *                  and the graph snaps back when the fault clears.
  *
  * Each (arm, phase) figure is measured by replaying the same seeded
- * trajectory with a different (warmup, measure) split — the measuring
- * flag only gates stat recording, so healthy/fault/post windows come
+ * trajectory with a different (warmup, measure) split — the warmup
+ * reset only discards counters, so healthy/fault/post windows come
  * from one deterministic timeline.
  *
  * Usage: cascade_containment [--seed N] [--json PATH]
@@ -57,6 +57,7 @@
 #include "bench_common.hh"
 #include "graph_fixtures.hh"
 #include "microsim/service_graph.hh"
+#include "util/thread_pool.hh"
 
 using namespace accel;
 
@@ -178,7 +179,7 @@ main(int argc, char **argv)
     for (bool contained : {false, true})
         for (const Phase &phase : kPhases)
             cells.push_back(Cell{contained, phase, {}});
-    cells = bench::shardConfigs(cells, [&](Cell cell) {
+    cells = parallelMap(cells, [&](Cell cell) {
         cell.m = buildArm(cell.contained, seed)
                      .run(cell.phase.measureSeconds,
                           cell.phase.warmupSeconds);

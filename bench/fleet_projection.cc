@@ -12,6 +12,7 @@
 
 #include "bench_common.hh"
 #include "model/fleet.hh"
+#include "util/thread_pool.hh"
 
 using namespace accel;
 
@@ -106,7 +107,7 @@ main()
     std::vector<const Row *> configs;
     for (const Row &row : rows)
         configs.push_back(&row);
-    std::vector<model::FleetProjection> fleets = bench::shardConfigs(
+    std::vector<model::FleetProjection> fleets = parallelMap(
         configs, [](const Row *row) {
             return project(row->name, row->factor, row->alpha);
         });

@@ -34,6 +34,7 @@
 #include "microsim/service_graph.hh"
 #include "microsim/service_sim.hh"
 #include "microsim/service_spec.hh"
+#include "util/thread_pool.hh"
 #include "workload/request_factory.hh"
 
 using namespace accel;
@@ -145,7 +146,7 @@ main(int argc, char **argv)
     // ---- (a) depth series ----
     const std::vector<std::uint32_t> depths = {1, 2, 3};
     std::vector<microsim::GraphMetrics> series =
-        bench::shardConfigs(depths, [&](std::uint32_t depth) {
+        parallelMap(depths, [&](std::uint32_t depth) {
             return runDepth(depth, seed);
         });
 
@@ -190,7 +191,7 @@ main(int argc, char **argv)
     arms[0].name = "host-only";
     arms[1].name = "accelerated";
     arms[1].accelerated = true;
-    arms = bench::shardConfigs(arms, [&](AdsArm arm) {
+    arms = parallelMap(arms, [&](AdsArm arm) {
         arm.m = runAdsGraph(cs.experiment, arm.accelerated);
         return arm;
     });

@@ -29,6 +29,7 @@
 #include "microsim/service_spec.hh"
 #include "microsim/service_sim.hh"
 #include "microsim/tier.hh"
+#include "util/thread_pool.hh"
 
 using namespace accel;
 using model::Strategy;
@@ -183,7 +184,7 @@ main(int argc, char **argv)
             for (double h : hedge_delays)
                 for (double late_p : late_rates)
                     cells.push_back({n, p, h, late_p, {}});
-    cells = bench::shardConfigs(cells, [&](Cell cell) {
+    cells = parallelMap(cells, [&](Cell cell) {
         microsim::TierConfig tier =
             tierConfig(cell.replicas, cell.policy, cell.hedgeDelay, seed);
         if (cell.lateP > 0) {
@@ -277,7 +278,7 @@ main(int argc, char **argv)
         microsim::ServiceMetrics m;
     };
     std::vector<Arm> arms = {{healthy_tier, {}}, {dead_tier, {}}};
-    arms = bench::shardConfigs(arms, [&](Arm arm) {
+    arms = parallelMap(arms, [&](Arm arm) {
         arm.m = runTier(arm.tier, seed);
         return arm;
     });

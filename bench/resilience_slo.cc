@@ -22,6 +22,7 @@
 #include "bench_common.hh"
 #include "faults/fault_plan.hh"
 #include "microsim/ab_test.hh"
+#include "util/thread_pool.hh"
 
 using namespace accel;
 using model::ThreadingDesign;
@@ -126,7 +127,7 @@ main(int argc, char **argv)
     for (size_t p = 0; p < pols.size(); ++p)
         for (double d : drop_rates)
             cells.push_back({p, d, {}});
-    cells = bench::shardConfigs(cells, [&](Cell cell) {
+    cells = parallelMap(cells, [&](Cell cell) {
         cell.ab = microsim::runResilienceAbTest(
             experiment(pols[cell.policy], cell.dropP, seed));
         return cell;

@@ -12,6 +12,7 @@
 #include "bench_common.hh"
 #include "microsim/service_spec.hh"
 #include "microsim/service_sim.hh"
+#include "util/thread_pool.hh"
 
 using namespace accel;
 using model::ThreadingDesign;
@@ -59,7 +60,7 @@ runOne(const Experiment &e)
 std::vector<microsim::ServiceMetrics>
 runFleet(const std::vector<Experiment> &experiments)
 {
-    return bench::shardConfigs(experiments, runOne);
+    return parallelMap(experiments, runOne);
 }
 
 double

@@ -11,6 +11,7 @@
 #include "bench_common.hh"
 #include "microsim/service_spec.hh"
 #include "microsim/service_sim.hh"
+#include "util/thread_pool.hh"
 
 using namespace accel;
 using model::ThreadingDesign;
@@ -78,7 +79,7 @@ main()
         microsim::ServiceMetrics base;
         microsim::ServiceMetrics accel;
     };
-    std::vector<Arms> results = bench::shardConfigs(
+    std::vector<Arms> results = parallelMap(
         loads, [](double load) {
             return Arms{run(load, false), run(load, true)};
         });

@@ -8,7 +8,6 @@
 #include "kernels/aes128.hh"
 #include "kernels/lz_compress.hh"
 #include "kernels/memops.hh"
-#include "kernels/serde.hh"
 #include "kernels/sha256.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -173,31 +172,6 @@ calibrateLzCompress(double clockGHz)
                                             static_cast<long>(bytes));
         auto frame = lzCompress(input);
         return frame.size();
-    };
-    return calibrate(op, {256, 1024, 4096, 16384, 65536}, clockGHz);
-}
-
-Calibration
-calibrateSerialize(double clockGHz)
-{
-    auto op = [](size_t bytes) -> std::uint64_t {
-        SerdeMessage msg = makeStoryMessage(bytes, 17);
-        auto wire = serialize(msg);
-        return wire.size();
-    };
-    return calibrate(op, {256, 1024, 4096, 16384, 65536}, clockGHz);
-}
-
-Calibration
-calibrateDeserialize(double clockGHz)
-{
-    auto wires = std::make_shared<std::map<size_t,
-        std::vector<std::uint8_t>>>();
-    for (size_t bytes : {256, 1024, 4096, 16384, 65536})
-        (*wires)[bytes] = serialize(makeStoryMessage(bytes, 18));
-    auto op = [wires](size_t bytes) -> std::uint64_t {
-        SerdeMessage msg = deserialize(wires->at(bytes));
-        return msg.size();
     };
     return calibrate(op, {256, 1024, 4096, 16384, 65536}, clockGHz);
 }

@@ -74,10 +74,4 @@ Calibration calibrateLzCompress(double clockGHz = 2.0);
 /** Convenience: calibrate a memory leaf operation. */
 Calibration calibrateMemOp(int op, double clockGHz = 2.0);
 
-/** Convenience: calibrate message serialization (the RPC leaf). */
-Calibration calibrateSerialize(double clockGHz = 2.0);
-
-/** Convenience: calibrate message deserialization. */
-Calibration calibrateDeserialize(double clockGHz = 2.0);
-
 } // namespace accel::kernels

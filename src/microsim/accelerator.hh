@@ -107,9 +107,6 @@ class Accelerator
     /** Interface transfer cycles for a given granularity. */
     double transferCycles(double bytes) const;
 
-    /** Current queue depth (offloads transferred but not yet served). */
-    size_t queueDepth() const { return queue_.size(); }
-
     /** Observed statistics. */
     const AcceleratorStats &stats() const { return stats_; }
 

@@ -134,6 +134,8 @@ Autoscaler::Autoscaler(sim::EventQueue &eq, AcceleratorTier &tier,
       tier_(tier),
       cfg_(cfg),
       staticQueueBound_(staticQueueBound),
+      interval_(std::max<sim::Tick>(
+          1, static_cast<sim::Tick>(std::llround(cfg.intervalCycles)))),
       window_(controlWindowHist(cfg)),
       cumulative_(controlWindowHist(cfg))
 {
@@ -161,9 +163,7 @@ Autoscaler::start(sim::Tick endTick)
     // applying a target of 1 there is a no-op either way.
     if (tier_.replicaCount() > 1)
         tier_.setActiveReplicas(target_);
-    auto interval = std::max<sim::Tick>(
-        1, static_cast<sim::Tick>(std::llround(cfg_.intervalCycles)));
-    eq_.scheduleIn(interval, [this]() { controlTick(); });
+    eq_.scheduleIn(interval_, [this]() { controlTick(); });
 }
 
 void
@@ -209,38 +209,35 @@ Autoscaler::controlTick()
     if (hasSamples && p99 > cfg_.sloLatencyCycles)
         ++stats_.breachWindows;
 
-    evaluateScaling(p99, hasSamples);
+    // Pressure signals, any of which votes to grow (and tightens the
+    // brown-out gate): the window tail is approaching the budget,
+    // arrivals were shed, or the admission queue filled past half its
+    // bound (incipient overload the latency percentile has not caught
+    // up with yet). Slack — a calm window with a low tail — votes to
+    // shrink (and relaxes the gate).
+    bool pressure = shedsInWindow_ > 0 ||
+        (hasSamples && p99 >= cfg_.scaleUpPressure * cfg_.sloLatencyCycles) ||
+        (staticQueueBound_ > 0 &&
+         maxQueueInWindow_ * 2 >= staticQueueBound_);
+    bool slack = !pressure && hasSamples &&
+        p99 <= cfg_.scaleDownPressure * cfg_.sloLatencyCycles;
+    evaluateScaling(pressure, slack);
     if (cfg_.brownout)
-        evaluateAdmission(p99, hasSamples);
+        evaluateAdmission(pressure, slack);
 
     shedsInWindow_ = 0;
     maxQueueInWindow_ = 0;
     stats_.finalReplicas = target_;
 
-    if (eq_.now() < endTick_) {
-        auto interval = std::max<sim::Tick>(
-            1,
-            static_cast<sim::Tick>(std::llround(cfg_.intervalCycles)));
-        eq_.scheduleIn(interval, [this]() { controlTick(); });
-    }
+    if (eq_.now() < endTick_)
+        eq_.scheduleIn(interval_, [this]() { controlTick(); });
 }
 
 void
-Autoscaler::evaluateScaling(double windowP99, bool hasSamples)
+Autoscaler::evaluateScaling(bool pressure, bool slack)
 {
-    // Pressure signals, any of which votes to grow: the window tail is
-    // approaching the budget, arrivals were shed, or the admission
-    // queue filled past half its bound (incipient overload the latency
-    // percentile has not caught up with yet).
-    bool up = shedsInWindow_ > 0 ||
-        (hasSamples &&
-         windowP99 >= cfg_.scaleUpPressure * cfg_.sloLatencyCycles) ||
-        (staticQueueBound_ > 0 &&
-         maxQueueInWindow_ * 2 >= staticQueueBound_);
-    bool down = !up && hasSamples && shedsInWindow_ == 0 &&
-        windowP99 <= cfg_.scaleDownPressure * cfg_.sloLatencyCycles;
-    upVotes_ = up ? upVotes_ + 1 : 0;
-    downVotes_ = down ? downVotes_ + 1 : 0;
+    upVotes_ = pressure ? upVotes_ + 1 : 0;
+    downVotes_ = slack ? downVotes_ + 1 : 0;
 
     if (everActed_ &&
         static_cast<double>(eq_.now() - lastActionTick_) <
@@ -279,17 +276,9 @@ Autoscaler::evaluateScaling(double windowP99, bool hasSamples)
 }
 
 void
-Autoscaler::evaluateAdmission(double windowP99, bool hasSamples)
+Autoscaler::evaluateAdmission(bool pressure, bool slack)
 {
     std::uint64_t before = admissionLimit_;
-    bool pressure =
-        (hasSamples &&
-         windowP99 >= cfg_.scaleUpPressure * cfg_.sloLatencyCycles) ||
-        shedsInWindow_ > 0 ||
-        maxQueueInWindow_ * 2 >= staticQueueBound_;
-    bool healthy = hasSamples && shedsInWindow_ == 0 &&
-        windowP99 <= cfg_.scaleDownPressure * cfg_.sloLatencyCycles;
-
     if (pressure) {
         // Tighten before latency collapses: admitted requests keep a
         // bounded queue ahead of them; the overflow is shed and
@@ -301,7 +290,7 @@ Autoscaler::evaluateAdmission(double windowP99, bool hasSamples)
                                                   cut);
         if (admissionLimit_ < before)
             ++stats_.admissionTightenings;
-    } else if (healthy && admissionLimit_ < staticQueueBound_) {
+    } else if (slack && admissionLimit_ < staticQueueBound_) {
         auto grown = static_cast<std::uint64_t>(
             static_cast<double>(admissionLimit_) * cfg_.brownoutRelax);
         admissionLimit_ = std::min<std::uint64_t>(

@@ -207,13 +207,16 @@ class Autoscaler
 
   private:
     void controlTick();
-    void evaluateScaling(double windowP99, bool hasSamples);
-    void evaluateAdmission(double windowP99, bool hasSamples);
+    /** Vote on the window verdict; act once votes and cooldown allow. */
+    void evaluateScaling(bool pressure, bool slack);
+    /** Tighten the brown-out gate under pressure, relax it on slack. */
+    void evaluateAdmission(bool pressure, bool slack);
 
     sim::EventQueue &eq_;
     AcceleratorTier &tier_;
     AutoscalerConfig cfg_;
     std::uint32_t staticQueueBound_ = 0;
+    sim::Tick interval_ = 1; //!< control period, >= 1 tick
 
     sim::Tick endTick_ = 0;
     std::uint32_t target_ = 1;

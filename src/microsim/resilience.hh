@@ -6,7 +6,7 @@
  * both a service's offload path and every resilient graph edge run.
  *
  * The breaker only decides; callers own the consequences. Each keeps
- * its own opens/probes/closes counters (gated on its own measurement
+ * its own opens/probes/closes counters (reset with its own measurement
  * window) and its own warning text, so the breaker needs no clock,
  * metrics, or logging of its own.
  */

@@ -559,17 +559,16 @@ ServiceGraph::run(double measureSeconds, double warmupSeconds)
 
     metrics_.graphMeasuredSeconds = measureSeconds;
     initWindowStats();
-    measuring_ = warmupSeconds == 0;
 
     // Node windows first: a single-node graph then replays the exact
-    // standalone event sequence, with the graph's own warmup flip
+    // standalone event sequence, with the graph's own warmup reset
     // appended after every node's (same tick and priority, later
     // insertion order).
     for (const std::unique_ptr<ServiceSim> &sim : sims_)
         sim->beginWindow(measureSeconds, warmupSeconds);
     sim::Tick end_tick = sims_.front()->windowEndTick();
 
-    if (!measuring_) {
+    if (warmupSeconds > 0) {
         double cycles_per_second =
             specs_.front().service().clockGHz * 1e9;
         sim::Tick warmup_tick =
@@ -581,7 +580,6 @@ ServiceGraph::run(double measureSeconds, double warmupSeconds)
             for (const std::unique_ptr<AcceleratorTier> &tier :
                  sharedTiers_)
                 tier->resetStats();
-            measuring_ = true;
         }, /*priority=*/-100);
     }
 
@@ -628,10 +626,8 @@ ServiceGraph::onNodeCompletion(std::uint32_t node, std::uint64_t token,
             c.deadline = arrivedAt + static_cast<sim::Tick>(
                              std::llround(rootDeadlineCycles_));
         calls_.emplace(tok, c);
-        if (measuring_) {
-            ++metrics_.rootsStarted;
-            ++metrics_.nodes[node].subtreesStarted;
-        }
+        ++metrics_.rootsStarted;
+        ++metrics_.nodes[node].subtreesStarted;
     } else {
         auto it = calls_.find(token);
         ensure(it != calls_.end(),
@@ -642,8 +638,7 @@ ServiceGraph::onNodeCompletion(std::uint32_t node, std::uint64_t token,
         c.serviceDone = true;
         if (failed)
             c.failed = true;
-        if (measuring_)
-            ++metrics_.nodes[node].subtreesStarted;
+        ++metrics_.nodes[node].subtreesStarted;
     }
     Call &c = calls_.at(tok);
     if (c.deadline != faults::kNeverTick && eq_->now() >= c.deadline) {
@@ -651,8 +646,7 @@ ServiceGraph::onNodeCompletion(std::uint32_t node, std::uint64_t token,
         // would burn downstream cycles on an answer nobody can use
         // in time. Prune the subtree and answer degraded instead.
         c.degraded = true;
-        if (measuring_)
-            ++metrics_.nodes[node].subtreesPrunedBudget;
+        ++metrics_.nodes[node].subtreesPrunedBudget;
     } else {
         issueCalls(tok);
     }
@@ -685,11 +679,9 @@ ServiceGraph::issueCalls(std::uint64_t token)
         // counting.
         bool faulty = edge.faultPlan && edge.faultPlan->active();
         for (std::uint32_t k = 0; k < edge.fanout; ++k) {
-            if (measuring_) {
-                ++metrics_.edges[e].callsIssued;
-                if (faulty)
-                    ++metrics_.edges[e].attemptsIssued;
-            }
+            ++metrics_.edges[e].callsIssued;
+            if (faulty)
+                ++metrics_.edges[e].attemptsIssued;
             // Only async edges may lose calls without a timeout
             // (validate() enforces it), and async callers never join.
             if (send(e, token, /*chainId=*/0, /*attemptNo=*/0,
@@ -711,13 +703,11 @@ ServiceGraph::send(std::size_t edge, std::uint64_t parentToken,
         sim::Tick now = eq_->now();
         faults::EdgeFaultDraw d = plan->draw(edgeFaultSeq_[edge]++);
         if (plan->blackholedAt(now)) {
-            if (measuring_)
-                ++metrics_.edges[edge].callsBlackholed;
+            ++metrics_.edges[edge].callsBlackholed;
             return false;
         }
         if (d.drop) {
-            if (measuring_)
-                ++metrics_.edges[edge].callsDropped;
+            ++metrics_.edges[edge].callsDropped;
             return false;
         }
         if (plan->spikeActiveAt(now))
@@ -752,8 +742,7 @@ ServiceGraph::deliver(std::size_t edge, std::uint64_t parentToken,
         // join degrades rather than fails — upstream still answers. A
         // live attempt is left to its timer, clipped to the same
         // budget.
-        if (measuring_)
-            ++metrics_.edges[edge].callsCancelledBudget;
+        ++metrics_.edges[edge].callsCancelledBudget;
         if (joins)
             settleChild(parentToken, /*childFailed=*/false,
                         /*childDegraded=*/true);
@@ -778,8 +767,7 @@ ServiceGraph::deliver(std::size_t edge, std::uint64_t parentToken,
     // zombie has nobody to notify.
     if (chainId != 0 && !chain)
         return;
-    if (measuring_)
-        ++metrics_.edges[edge].callsShed;
+    ++metrics_.edges[edge].callsShed;
     if (chain) {
         // A live attempt fails fast and lets the retry ladder decide
         // what happens next.
@@ -806,26 +794,21 @@ ServiceGraph::maybeFinishCall(std::uint64_t token)
     if (!c.serviceDone || c.pendingChildren > 0)
         return;
     sim::Tick now = eq_->now();
-    if (measuring_) {
-        GraphNodeMetrics &nm = metrics_.nodes[c.node];
-        ++nm.subtreesCompleted;
-        if (c.failed)
-            ++nm.subtreesFailed;
-        if (c.degraded)
-            ++nm.subtreesDegraded;
-        nm.subtreeLatencyCycles.add(
-            static_cast<double>(now - c.arrivedAt));
-    }
+    GraphNodeMetrics &nm = metrics_.nodes[c.node];
+    ++nm.subtreesCompleted;
+    if (c.failed)
+        ++nm.subtreesFailed;
+    if (c.degraded)
+        ++nm.subtreesDegraded;
+    nm.subtreeLatencyCycles.add(static_cast<double>(now - c.arrivedAt));
     if (c.viaEdge < 0) {
-        if (measuring_) {
-            ++metrics_.rootsCompleted;
-            if (c.failed)
-                ++metrics_.rootsFailed;
-            if (c.degraded)
-                ++metrics_.rootsDegraded;
-            metrics_.rootLatencyCycles.add(
-                static_cast<double>(now - c.arrivedAt));
-        }
+        ++metrics_.rootsCompleted;
+        if (c.failed)
+            ++metrics_.rootsFailed;
+        if (c.degraded)
+            ++metrics_.rootsDegraded;
+        metrics_.rootLatencyCycles.add(
+            static_cast<double>(now - c.arrivedAt));
         calls_.erase(it);
         return;
     }
@@ -864,18 +847,15 @@ ServiceGraph::bookResponse(std::size_t edge, std::uint64_t chainId,
     if (chainId != 0 && !liveChain(chainId, attemptNo)) {
         // A straggler from an abandoned attempt. The callee's cycles
         // are already spent; all that is left is honest accounting.
-        if (measuring_)
-            ++es.callsCompletedIgnored;
+        ++es.callsCompletedIgnored;
         return false;
     }
-    if (measuring_) {
-        ++es.callsCompleted;
-        if (childFailed)
-            ++es.failuresPropagated;
-        if (childDegraded)
-            ++es.degradedPropagated;
-        es.rttCycles.add(static_cast<double>(eq_->now() - issuedAt));
-    }
+    ++es.callsCompleted;
+    if (childFailed)
+        ++es.failuresPropagated;
+    if (childDegraded)
+        ++es.degradedPropagated;
+    es.rttCycles.add(static_cast<double>(eq_->now() - issuedAt));
     return true;
 }
 
@@ -930,8 +910,7 @@ ServiceGraph::startChain(std::size_t edge, std::uint64_t parentToken,
         // Open breaker: skip the subtree instead of piling onto a
         // sick callee. The caller degrades — it answers without this
         // child's contribution — rather than failing outright.
-        if (measuring_)
-            ++metrics_.edges[edge].callsShortCircuited;
+        ++metrics_.edges[edge].callsShortCircuited;
         settleChild(parentToken, /*childFailed=*/false,
                     /*childDegraded=*/true);
         return;
@@ -944,11 +923,9 @@ ServiceGraph::startChain(std::size_t edge, std::uint64_t parentToken,
     ec.deadline = parentDeadline;
     ec.probe = gate.probe;
     chains_.emplace(id, ec);
-    if (measuring_) {
-        ++metrics_.edges[edge].callsIssued;
-        if (gate.probe)
-            ++metrics_.edges[edge].breakerProbes;
-    }
+    ++metrics_.edges[edge].callsIssued;
+    if (gate.probe)
+        ++metrics_.edges[edge].breakerProbes;
     startAttempt(id);
 }
 
@@ -962,15 +939,13 @@ ServiceGraph::startAttempt(std::uint64_t chainId)
     sim::Tick now = eq_->now();
 
     if (ec.deadline != faults::kNeverTick && now >= ec.deadline) {
-        if (measuring_)
-            ++metrics_.edges[ec.edge].callsDeadlineExceeded;
+        ++metrics_.edges[ec.edge].callsDeadlineExceeded;
         settleChain(chainId, ChainOutcome::Degraded, false, false);
         return;
     }
 
     ++ec.attempt;
-    if (measuring_)
-        ++metrics_.edges[ec.edge].attemptsIssued;
+    ++metrics_.edges[ec.edge].attemptsIssued;
 
     // The attempt's budget slice. Even hands each attempt the whole
     // chain deadline (a retry inherits whatever is left);
@@ -1019,8 +994,7 @@ ServiceGraph::onAttemptTimeout(std::uint64_t chainId)
     auto it = chains_.find(chainId);
     ensure(it != chains_.end(), "onAttemptTimeout: unknown chain");
     it->second.timer = sim::kInvalidTimer;
-    if (measuring_)
-        ++metrics_.edges[it->second.edge].attemptsTimedOut;
+    ++metrics_.edges[it->second.edge].attemptsTimedOut;
     retryOrFail(chainId);
 }
 
@@ -1033,8 +1007,7 @@ ServiceGraph::retryOrFail(std::uint64_t chainId)
     const EdgeConfig &cfg = edges_[ec.edge];
     if (ec.deadline != faults::kNeverTick &&
         eq_->now() >= ec.deadline) {
-        if (measuring_)
-            ++metrics_.edges[ec.edge].callsDeadlineExceeded;
+        ++metrics_.edges[ec.edge].callsDeadlineExceeded;
         settleChain(chainId, ChainOutcome::Degraded, false, false);
         return;
     }
@@ -1046,15 +1019,13 @@ ServiceGraph::retryOrFail(std::uint64_t chainId)
         if (edgeRetryTokens_[ec.edge] < 1.0) {
             // The bucket is dry: the edge's recent success rate no
             // longer pays for retries, so the storm is cut here.
-            if (measuring_)
-                ++metrics_.edges[ec.edge].retriesSuppressed;
+            ++metrics_.edges[ec.edge].retriesSuppressed;
             settleChain(chainId, ChainOutcome::Failed, false, false);
             return;
         }
         edgeRetryTokens_[ec.edge] -= 1.0;
     }
-    if (measuring_)
-        ++metrics_.edges[ec.edge].attemptsRetried;
+    ++metrics_.edges[ec.edge].attemptsRetried;
     startAttempt(chainId);
 }
 
@@ -1075,15 +1046,13 @@ ServiceGraph::settleChain(std::uint64_t chainId, ChainOutcome outcome,
     switch (edgeBreakers_[ec.edge].record(outcome == ChainOutcome::Success,
                                           ec.probe, eq_->now())) {
       case CircuitBreaker::Transition::Opened:
-        if (measuring_)
-            ++metrics_.edges[ec.edge].breakerOpens;
+        ++metrics_.edges[ec.edge].breakerOpens;
         warn("edge breaker " + cfg.caller + " -> " + cfg.callee +
              " opened at tick " + std::to_string(eq_->now()) +
              ": callers short-circuit to degraded responses");
         break;
       case CircuitBreaker::Transition::Closed:
-        if (measuring_)
-            ++metrics_.edges[ec.edge].breakerCloses;
+        ++metrics_.edges[ec.edge].breakerCloses;
         break;
       case CircuitBreaker::Transition::None:
         break;
@@ -1092,7 +1061,7 @@ ServiceGraph::settleChain(std::uint64_t chainId, ChainOutcome outcome,
         edgeRetryTokens_[ec.edge] =
             std::min(cfg.retryBudget.cap,
                      edgeRetryTokens_[ec.edge] + cfg.retryBudget.ratio);
-    if (outcome == ChainOutcome::Failed && measuring_)
+    if (outcome == ChainOutcome::Failed)
         ++metrics_.edges[ec.edge].callsFailed;
     switch (outcome) {
       case ChainOutcome::Success:

@@ -426,6 +426,7 @@ class ServiceGraph
     std::uint32_t nodeIndex(const std::string &name) const;
     bool hasInEdge(std::uint32_t node) const;
 
+    /** Fresh window counters: at run start and at the warmup tick. */
     void initWindowStats();
     void onNodeCompletion(std::uint32_t node, std::uint64_t token,
                           sim::Tick arrivedAt, bool failed);
@@ -483,7 +484,6 @@ class ServiceGraph
     /** Per-edge retry-budget token levels. */
     std::vector<double> edgeRetryTokens_;
     std::vector<CircuitBreaker> edgeBreakers_;
-    bool measuring_ = false;
     bool ran_ = false;
     GraphMetrics metrics_;
 };

@@ -66,11 +66,20 @@ ServiceConfig::validate() const
 
 namespace {
 
-/** Aggregate validation must run before any member construction. */
+/**
+ * Aggregate validation must run before any member construction. A spec
+ * that names a graph-shared tier must be given that tier.
+ */
 const ServiceSpec &
-validated(const ServiceSpec &spec)
+validated(const ServiceSpec &spec, const AcceleratorTier *sharedTier)
 {
     spec.validate();
+    if (sharedTier == nullptr && !spec.sharedTierName().empty()) {
+        fatal("ServiceSpec '" + spec.name() + "': sharedTier ('" +
+              spec.sharedTierName() +
+              "') requires a ServiceGraph; a standalone ServiceSim owns "
+              "its tier");
+    }
     return spec;
 }
 
@@ -89,7 +98,7 @@ ServiceSim::ServiceSim(const ServiceSpec &spec, sim::EventQueue &eq,
 
 ServiceSim::ServiceSim(const ServiceSpec &spec, sim::EventQueue *eq,
                        AcceleratorTier *sharedTier, bool serverMode)
-    : cfg_(validated(spec).service()),
+    : cfg_(validated(spec, sharedTier).service()),
       ownedEq_(eq != nullptr ? nullptr
                              : std::make_unique<sim::EventQueue>()),
       eq_(eq != nullptr ? *eq : *ownedEq_),
@@ -98,8 +107,6 @@ ServiceSim::ServiceSim(const ServiceSpec &spec, sim::EventQueue *eq,
                       : std::make_unique<AcceleratorTier>(
                             eq_, spec.accelerator(), spec.tier())),
       accel_(sharedTier != nullptr ? *sharedTier : *ownedAccel_),
-      sharedTier_(sharedTier != nullptr),
-      serverMode_(serverMode),
       source_(spec.workload(), spec.seed()),
       arrivalRng_(spec.seed() ^ 0xa771a15ULL, 0x6f70656e6c6f6fULL),
       breaker_(cfg_.breaker)
@@ -120,7 +127,7 @@ ServiceSim::ServiceSim(const ServiceSpec &spec, sim::EventQueue *eq,
         thinning_ = !cfg_.arrivalProgram.isConstant();
         openLoop_ = true;
     }
-    if (serverMode_) {
+    if (serverMode) {
         // Graph node with in-edges: park idle threads and wait for
         // injected RPC arrivals (with no local source of its own,
         // cyclesPerArrival_ stays 0 and no arrival event is scheduled).
@@ -175,8 +182,7 @@ ServiceSim::injectArrival(std::uint64_t token)
 bool
 ServiceSim::admitArrival(std::uint64_t token)
 {
-    if (measuring_)
-        ++metrics_.requestsArrived;
+    ++metrics_.requestsArrived;
     bool shed = false;
     bool overload = false;
     std::uint64_t gate = autoscaler_ ? autoscaler_->admissionLimit() : 0;
@@ -194,20 +200,16 @@ ServiceSim::admitArrival(std::uint64_t token)
         overload = true;
     }
     if (shed) {
-        if (measuring_) {
-            ++metrics_.requestsShed;
-            if (overload)
-                ++metrics_.requestsShedOverload;
-        }
+        ++metrics_.requestsShed;
+        if (overload)
+            ++metrics_.requestsShedOverload;
         if (autoscaler_)
             autoscaler_->noteShed();
         return false;
     }
     arrivals_.push_back(PendingArrival{source_.next(), eq_.now(), token});
-    if (measuring_) {
-        metrics_.maxArrivalQueueDepth = std::max<std::uint64_t>(
-            metrics_.maxArrivalQueueDepth, arrivals_.size());
-    }
+    metrics_.maxArrivalQueueDepth = std::max<std::uint64_t>(
+        metrics_.maxArrivalQueueDepth, arrivals_.size());
     if (autoscaler_)
         autoscaler_->noteQueueDepth(arrivals_.size());
     if (!idleThreads_.empty()) {
@@ -258,8 +260,7 @@ ServiceSim::dispatch()
             ? cfg_.contextSwitchCycles + cfg_.cachePollutionCycles : 0.0;
         ctx.needsSwitchIn = false;
         if (switch_in > 0) {
-            if (measuring_)
-                metrics_.switchOverheadCycles += switch_in;
+            metrics_.switchOverheadCycles += switch_in;
             runOnCore(tid, switch_in, std::move(resume),
                       kOverheadWorkTag);
         } else {
@@ -284,8 +285,7 @@ ServiceSim::yieldCore(size_t tid)
     ctx.state = ThreadState::Blocked;
     double switch_away = cfg_.contextSwitchCycles;
     if (switch_away > 0) {
-        if (measuring_)
-            metrics_.switchOverheadCycles += switch_away;
+        metrics_.switchOverheadCycles += switch_away;
         eq_.scheduleIn(
             static_cast<sim::Tick>(std::llround(switch_away)),
             [this, tid]() {
@@ -307,7 +307,7 @@ ServiceSim::chargeStolen(double cycles)
     // next (see the class comment); fold the pool into this charge.
     double stolen = pendingStolenCycles_;
     pendingStolenCycles_ = 0.0;
-    if (measuring_ && stolen > 0) {
+    if (stolen > 0) {
         metrics_.switchOverheadCycles += stolen;
         metrics_.coreCyclesByTag[kOverheadWorkTag] += stolen;
     }
@@ -322,10 +322,8 @@ ServiceSim::runOnCore(size_t tid, double cycles,
     ensure(ctx.state == ThreadState::Running && ctx.core >= 0,
            "runOnCore: thread must be running on a core");
     double charged = chargeStolen(cycles);
-    if (measuring_) {
-        metrics_.coreBusyCycles += charged;
-        metrics_.coreCyclesByTag[tag] += cycles;
-    }
+    metrics_.coreBusyCycles += charged;
+    metrics_.coreCyclesByTag[tag] += cycles;
     // At least one tick so zero-cost request chains always advance time.
     sim::Tick ticks =
         std::max<sim::Tick>(1, static_cast<sim::Tick>(
@@ -416,8 +414,7 @@ ServiceSim::handleKernel(size_t tid)
 
     bool offload = cfg_.accelerated && k.bytes >= cfg_.minOffloadBytes;
     if (!offload) {
-        if (measuring_)
-            ++metrics_.kernelsOnHost;
+        ++metrics_.kernelsOnHost;
         runOnCore(tid, k.hostCycles, [this, tid]() { maybeNext(tid); },
                   k.tag);
         return;
@@ -426,21 +423,18 @@ ServiceSim::handleKernel(size_t tid)
     CircuitBreaker::Gate gate = breaker_.gate(eq_.now());
     if (!gate.pass) {
         // Breaker open: revert the kernel to host execution.
-        if (measuring_) {
-            ++metrics_.breakerFallbacks;
-            metrics_.fallbackHostCycles += k.hostCycles;
-        }
+        ++metrics_.breakerFallbacks;
+        metrics_.fallbackHostCycles += k.hostCycles;
         ctx.inflight->degraded = true;
         runOnCore(tid, k.hostCycles,
                   [this, tid]() { maybeNext(tid); }, k.tag);
         return;
     }
     bool probe = gate.probe;
-    if (probe && measuring_)
+    if (probe)
         ++metrics_.breakerProbes;
 
-    if (measuring_)
-        ++metrics_.offloadsIssued;
+    ++metrics_.offloadsIssued;
     switch (cfg_.design) {
       case ThreadingDesign::Sync:
         offloadSync(tid, k, probe);
@@ -478,37 +472,30 @@ ServiceSim::maybeCompleteRequest(const std::shared_ptr<InFlight> &inflight,
         (remoteExcluded || inflight->pendingKernels == 0);
     if (service_done && !inflight->counted) {
         inflight->counted = true;
-        // The control loop sees every completion, warmup included:
-        // scaling decisions are live from tick 0, only the *report*
-        // window is gated on measuring_.
-        if (autoscaler_) {
-            autoscaler_->observeLatency(
-                static_cast<double>(eq_.now() - inflight->start));
+        double latency = static_cast<double>(eq_.now() - inflight->start);
+        // The control loop keeps its in-flight samples across the
+        // warmup reset: scaling decisions are live from tick 0.
+        if (autoscaler_)
+            autoscaler_->observeLatency(latency);
+        ++metrics_.requestsCompleted;
+        metrics_.latencyCycles.add(latency);
+        metrics_.latencySample.add(latency);
+        if (inflight->degraded) {
+            ++metrics_.requestsDegraded;
+            metrics_.degradedLatencyCycles.add(latency);
+            metrics_.degradedLatencySample.add(latency);
         }
-        if (measuring_) {
-            ++metrics_.requestsCompleted;
-            double latency =
-                static_cast<double>(eq_.now() - inflight->start);
-            metrics_.latencyCycles.add(latency);
-            metrics_.latencySample.add(latency);
-            if (inflight->degraded) {
-                ++metrics_.requestsDegraded;
-                metrics_.degradedLatencyCycles.add(latency);
-                metrics_.degradedLatencySample.add(latency);
-            }
-            if (inflight->failed)
-                ++metrics_.requestsFailed;
-        }
-        // Like the autoscaler feed, the graph hook sees every
-        // completion (warmup included); the graph gates its own
-        // measurement window.
+        if (inflight->failed)
+            ++metrics_.requestsFailed;
+        // The graph hook sees every completion; the graph resets its
+        // own counters at the warmup tick, after this node's.
         if (completionHook_) {
             completionHook_(inflight->token, inflight->start,
                             inflight->failed);
         }
     }
     if (inflight->hostDone && inflight->pendingKernels == 0 &&
-        measuring_ && inflight->counted) {
+        inflight->counted) {
         metrics_.endToEndLatencyCycles.add(
             static_cast<double>(eq_.now() - inflight->start));
     }
@@ -522,8 +509,7 @@ void
 ServiceSim::offloadSync(size_t tid, const KernelInvocation &k, bool probe)
 {
     double issue = cfg_.offloadSetupCycles + cfg_.unmodeledPerOffloadCycles;
-    if (measuring_)
-        metrics_.dispatchOverheadCycles += issue;
+    metrics_.dispatchOverheadCycles += issue;
     runOnCore(tid, issue, [this, tid, k, probe]() {
         // The core stays held (idle) across transfer + queue + service
         // — and, in degraded mode, across timeouts and backoff too: a
@@ -533,10 +519,8 @@ ServiceSim::offloadSync(size_t tid, const KernelInvocation &k, bool probe)
             tid, k, /*transferPaidByHost=*/false, probe,
             threads_[tid].inflight,
             [this, tid, k, held_from](OffloadOutcome out) {
-                if (measuring_) {
-                    metrics_.coreHeldIdleCycles +=
-                        static_cast<double>(eq_.now() - held_from);
-                }
+                metrics_.coreHeldIdleCycles +=
+                    static_cast<double>(eq_.now() - held_from);
                 if (out == OffloadOutcome::HostFallback) {
                     // The core is still held; the kernel re-executes
                     // right here as ordinary (busy) host work.
@@ -556,8 +540,7 @@ ServiceSim::offloadSyncOS(size_t tid, const KernelInvocation &k,
     double hold = cfg_.offloadSetupCycles + cfg_.unmodeledPerOffloadCycles;
     if (cfg_.driverWaitsForAck)
         hold += accel_.transferCycles(k.bytes);
-    if (measuring_)
-        metrics_.dispatchOverheadCycles += hold;
+    metrics_.dispatchOverheadCycles += hold;
     runOnCore(tid, hold, [this, tid, k, probe]() {
         dispatchResilient(
             tid, k, /*transferPaidByHost=*/cfg_.driverWaitsForAck, probe,
@@ -589,8 +572,7 @@ ServiceSim::offloadAsync(size_t tid, const KernelInvocation &k,
     double hold = cfg_.offloadSetupCycles + cfg_.unmodeledPerOffloadCycles;
     if (cfg_.driverWaitsForAck)
         hold += accel_.transferCycles(k.bytes);
-    if (measuring_)
-        metrics_.dispatchOverheadCycles += hold;
+    metrics_.dispatchOverheadCycles += hold;
 
     bool tracks_outstanding =
         cfg_.design != ThreadingDesign::AsyncNoResponse;
@@ -717,8 +699,7 @@ ServiceSim::issueAttempt(size_t tid, const KernelInvocation &k,
         k.hostCycles, k.bytes,
         [this, state, probe]() {
             if (state->settled) {
-                if (measuring_)
-                    ++metrics_.lateCompletionsIgnored;
+                ++metrics_.lateCompletionsIgnored;
                 return;
             }
             state->settled = true;
@@ -736,8 +717,7 @@ ServiceSim::issueAttempt(size_t tid, const KernelInvocation &k,
                    "issueAttempt: deadline fired after settlement");
             state->settled = true;
             inflight->degraded = true;
-            if (measuring_)
-                ++metrics_.offloadTimeouts;
+            ++metrics_.offloadTimeouts;
             timeoutWarner_.warn(
                 "thread " + std::to_string(tid) + " attempt " +
                 std::to_string(attempt + 1) + " deadline at tick " +
@@ -749,8 +729,7 @@ ServiceSim::issueAttempt(size_t tid, const KernelInvocation &k,
             bool can_retry = !probe &&
                 attempt + 1 < cfg_.retry.maxAttempts && breaker_.closed();
             if (can_retry) {
-                if (measuring_)
-                    ++metrics_.offloadRetries;
+                ++metrics_.offloadRetries;
                 eq_.scheduleIn(
                     backoffTicks(attempt),
                     [this, state, tid, k, transferPaidByHost,
@@ -761,18 +740,15 @@ ServiceSim::issueAttempt(size_t tid, const KernelInvocation &k,
                                      std::move(state->resolve));
                     });
             } else if (cfg_.retry.hostFallback) {
-                if (measuring_) {
-                    ++metrics_.hostFallbacks;
-                    metrics_.fallbackHostCycles += k.hostCycles;
-                }
+                ++metrics_.hostFallbacks;
+                metrics_.fallbackHostCycles += k.hostCycles;
                 fallbackWarner_.warn(
                     "thread " + std::to_string(tid) +
                     " reverting kernel to host at tick " +
                     std::to_string(eq_.now()));
                 state->resolve(OffloadOutcome::HostFallback);
             } else {
-                if (measuring_)
-                    ++metrics_.offloadsAbandoned;
+                ++metrics_.offloadsAbandoned;
                 inflight->failed = true;
                 state->resolve(OffloadOutcome::Abandoned);
             }
@@ -784,15 +760,13 @@ ServiceSim::recordOffloadOutcome(bool success, bool probe)
 {
     switch (breaker_.record(success, probe, eq_.now())) {
       case CircuitBreaker::Transition::Opened:
-        if (measuring_)
-            ++metrics_.breakerOpens;
+        ++metrics_.breakerOpens;
         warn("circuit breaker opened at tick " +
              std::to_string(eq_.now()) +
              ": offloads revert to host execution");
         break;
       case CircuitBreaker::Transition::Closed:
-        if (measuring_)
-            ++metrics_.breakerCloses;
+        ++metrics_.breakerCloses;
         break;
       case CircuitBreaker::Transition::None:
         break;
@@ -823,20 +797,20 @@ ServiceSim::beginWindow(double measureSeconds, double warmupSeconds)
 
     metrics_ = ServiceMetrics();
     metrics_.measuredSeconds = measureSeconds;
-    measuring_ = warmupSeconds == 0;
 
-    if (!measuring_) {
+    // Counters run from tick 0; the window opens when this reset
+    // discards them, before any other event at the warmup tick.
+    if (warmupSeconds > 0) {
         eq_.schedule(warmup_tick, [this]() {
             ServiceMetrics fresh;
             fresh.measuredSeconds = metrics_.measuredSeconds;
             metrics_ = fresh;
             // A graph-shared tier is reset by the graph, once — not
             // once per contending service.
-            if (!sharedTier_)
+            if (ownedAccel_)
                 accel_.resetStats();
             if (autoscaler_)
                 autoscaler_->resetStats();
-            measuring_ = true;
         }, /*priority=*/-100);
     }
 
@@ -853,7 +827,7 @@ ServiceSim::collectMetrics()
 {
     timeoutWarner_.flushSummary();
     fallbackWarner_.flushSummary();
-    if (!sharedTier_) {
+    if (ownedAccel_) {
         metrics_.accelerator = accel_.aggregateDeviceStats();
         metrics_.tier = accel_.snapshot();
     }

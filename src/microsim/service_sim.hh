@@ -136,7 +136,9 @@ class ServiceSim
      * construction API; see service_spec.hh). Owns its event queue and
      * accelerator tier.
      *
-     * @throws FatalError listing every spec problem at once.
+     * @throws FatalError listing every spec problem at once, or when
+     *         the spec names a graph-shared tier (those only exist
+     *         inside a ServiceGraph).
      */
     explicit ServiceSim(const ServiceSpec &spec);
 
@@ -151,6 +153,9 @@ class ServiceSim
      * Both referents must outlive the simulator. Use run() only on
      * standalone instances; a graph drives beginWindow() /
      * collectMetrics() around its own event-loop run.
+     *
+     * @throws FatalError as above, except that a spec naming a shared
+     *         tier is accepted with a non-null @p sharedTier.
      */
     ServiceSim(const ServiceSpec &spec, sim::EventQueue &eq,
                AcceleratorTier *sharedTier, bool serverMode);
@@ -247,13 +252,12 @@ class ServiceSim
     /** Owned when standalone; null when running on a graph's queue. */
     std::unique_ptr<sim::EventQueue> ownedEq_;
     sim::EventQueue &eq_;
-    /** Owned unless the spec names a graph-shared tier. */
+    /**
+     * Owned unless the spec names a graph-shared tier; a shared tier's
+     * warmup reset and snapshot belong to the graph.
+     */
     std::unique_ptr<AcceleratorTier> ownedAccel_;
     AcceleratorTier &accel_; //!< trivial tier = the old single device
-    /** Tier shared with other graph nodes: reset/snapshot is theirs. */
-    bool sharedTier_ = false;
-    /** Injected arrivals are the only offered load (graph server). */
-    bool serverMode_ = false;
     RequestSource source_;
 
     // --- scheduler state ---
@@ -294,7 +298,6 @@ class ServiceSim
 
     // --- run bookkeeping ---
     sim::Tick endTick_ = 0;
-    bool measuring_ = false;
     ServiceMetrics metrics_;
     CompletionHook completionHook_;
 

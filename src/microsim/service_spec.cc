@@ -129,17 +129,6 @@ ServiceSpec::validate() const
     fatal(msg);
 }
 
-std::unique_ptr<ServiceSim>
-ServiceSpec::buildSim() const
-{
-    require(sharedTierName_.empty(),
-            "ServiceSpec '" + name_ + "': sharedTier ('" +
-                sharedTierName_ +
-                "') requires a ServiceGraph; buildSim() constructs a "
-                "standalone instance");
-    return std::make_unique<ServiceSim>(*this);
-}
-
 ServiceSpec
 ServiceSpec::fromConfig(const Config &cfg, const std::string &section)
 {

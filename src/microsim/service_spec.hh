@@ -22,8 +22,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/config.hh"
@@ -34,12 +34,11 @@ namespace accel::microsim {
 /**
  * Fluent, validated description of one service instance.
  *
- * Setters return *this for chaining; build a simulator with
- * buildSim() (heap) or by passing the spec to ServiceSim's
- * constructor (stack):
+ * Setters return *this for chaining; build a simulator by passing
+ * the spec to ServiceSim's constructor:
  *
- *     auto sim = ServiceSpec("web").service(svc).accelerator(dev)
- *                    .workload(work).seed(7).buildSim();
+ *     ServiceSim sim(ServiceSpec("web").service(svc).accelerator(dev)
+ *                        .workload(work).seed(7));
  */
 class ServiceSpec
 {
@@ -60,7 +59,7 @@ class ServiceSpec
     /**
      * Name a graph-owned shared AcceleratorTier this service contends
      * for (see ServiceGraph::addSharedTier). Only meaningful inside a
-     * graph; buildSim() rejects it for standalone construction.
+     * graph; a standalone ServiceSim rejects it.
      * Mutually exclusive with a non-trivial tier() of its own and with
      * the autoscaler (one controller cannot own a contended tier).
      */
@@ -92,13 +91,6 @@ class ServiceSpec
 
     /** @throws FatalError listing every errors() entry at once. */
     void validate() const;
-
-    /**
-     * Build a standalone simulator (validates first).
-     * @throws FatalError when the spec is invalid or names a shared
-     *         tier (shared tiers only exist inside a ServiceGraph).
-     */
-    std::unique_ptr<ServiceSim> buildSim() const;
 
     /**
      * Parse one config section into a spec — the single entry point

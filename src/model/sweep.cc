@@ -71,14 +71,6 @@ sweepInterfaceLatency(const Params &base, ThreadingDesign design,
 }
 
 std::vector<SweepPoint>
-sweepOffloads(const Params &base, ThreadingDesign design,
-              const std::vector<double> &counts)
-{
-    return sweep(base, design, counts,
-                 [](Params &p, double x) { p.offloads = x; });
-}
-
-std::vector<SweepPoint>
 sweepAlpha(const Params &base, ThreadingDesign design,
            const std::vector<double> &alphas)
 {

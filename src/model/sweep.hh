@@ -55,11 +55,6 @@ std::vector<SweepPoint>
 sweepInterfaceLatency(const Params &base, ThreadingDesign design,
                       const std::vector<double> &latencies);
 
-/** Sweep the number of offloads per time unit n. */
-std::vector<SweepPoint>
-sweepOffloads(const Params &base, ThreadingDesign design,
-              const std::vector<double> &counts);
-
 /** Sweep the kernel fraction α. */
 std::vector<SweepPoint>
 sweepAlpha(const Params &base, ThreadingDesign design,

@@ -75,13 +75,6 @@ class Aggregator
         return leaf_;
     }
 
-    /** Per-functionality totals (IPC for Fig. 10). */
-    const std::map<workload::Functionality, CategoryTotals> &
-    functionalityTotals() const
-    {
-        return functionality_;
-    }
-
   private:
     LeafTagger leafTagger_;
     FunctionalityTagger functionalityTagger_;

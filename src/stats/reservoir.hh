@@ -24,11 +24,16 @@ class ReservoirSample
 {
   public:
     /**
+     * 4096 slots, seed 0x5eed. Not explicit: an aggregate that holds a
+     * reservoir, such as `TierStats{}`, copy-initializes it from `{}`.
+     */
+    ReservoirSample() : ReservoirSample(4096, 0x5eed) {}
+
+    /**
      * @param capacity reservoir size (quantile resolution ~1/capacity)
      * @param seed     RNG seed for replacement decisions
      */
-    explicit ReservoirSample(size_t capacity = 4096,
-                             std::uint64_t seed = 0x5eed);
+    explicit ReservoirSample(size_t capacity, std::uint64_t seed = 0x5eed);
 
     /** Observe one value. */
     void add(double value);

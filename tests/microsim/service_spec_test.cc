@@ -67,13 +67,12 @@ TEST(ServiceSpec, FluentBuilderRoundTripsFields)
 
 TEST(ServiceSpec, BuildSimRunsTheService)
 {
-    std::unique_ptr<ServiceSim> sim = ServiceSpec("unit")
-                                          .service(service())
-                                          .accelerator(device())
-                                          .workload(workload())
-                                          .seed(3)
-                                          .buildSim();
-    ServiceMetrics m = sim->run(0.02, 0.005);
+    ServiceSim sim(ServiceSpec("unit")
+                       .service(service())
+                       .accelerator(device())
+                       .workload(workload())
+                       .seed(3));
+    ServiceMetrics m = sim.run(0.02, 0.005);
     EXPECT_GT(m.requestsCompleted, 0u);
 }
 
@@ -151,14 +150,14 @@ TEST(ServiceSpec, SharedTierExcludesOwnTierAndAutoscaler)
     EXPECT_NE(errs[0].find("non-trivial"), std::string::npos);
     EXPECT_NE(errs[1].find("autoscaler"), std::string::npos);
 
-    // And buildSim() refuses shared tiers outright: they only exist
-    // inside a ServiceGraph.
+    // And a standalone ServiceSim refuses shared tiers outright: they
+    // only exist inside a ServiceGraph.
     ServiceSpec standalone = ServiceSpec("solo")
                                  .service(service())
                                  .accelerator(device())
                                  .workload(workload())
                                  .sharedTier("infer");
-    EXPECT_THROW(standalone.buildSim(), FatalError);
+    EXPECT_THROW(ServiceSim{standalone}, FatalError);
 }
 
 TEST(ServiceSpec, FromConfigRoundTripsAgainstHandBuiltSpec)
@@ -189,10 +188,8 @@ TEST(ServiceSpec, FromConfigRoundTripsAgainstHandBuiltSpec)
 
     // Round trip: the parsed spec must drive the simulator to the
     // bit-identical result of the hand-built equivalent.
-    ServiceMetrics from_config =
-        parsed.buildSim()->run(0.02, 0.005);
-    ServiceMetrics from_builder =
-        built.buildSim()->run(0.02, 0.005);
+    ServiceMetrics from_config = ServiceSim(parsed).run(0.02, 0.005);
+    ServiceMetrics from_builder = ServiceSim(built).run(0.02, 0.005);
     EXPECT_EQ(from_config.summaryJson(), from_builder.summaryJson());
 }
 
