@@ -10,6 +10,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "profiling/call_trace.hh"
@@ -76,8 +77,29 @@ class Aggregator
     }
 
   private:
+    /** What the taggers say about one symbol. */
+    struct SymbolVerdict
+    {
+        workload::LeafCategory leaf = workload::LeafCategory::Miscellaneous;
+        std::optional<workload::MemoryLeaf> memory;
+        std::optional<workload::KernelLeaf> kernel;
+        std::optional<workload::SyncLeaf> sync;
+        std::optional<workload::ClibLeaf> clib;
+        /** The functionality marker the symbol carries as a frame. */
+        std::optional<workload::Functionality> marker;
+    };
+
+    /**
+     * The taggers' verdict on @p id, run through their string rules on
+     * the id's first sight. Returned by value: a later lookup may grow
+     * the cache.
+     */
+    SymbolVerdict verdict(SymbolId id);
+
     LeafTagger leafTagger_;
     FunctionalityTagger functionalityTagger_;
+    /** Indexed by SymbolId; empty until that symbol is first seen. */
+    std::vector<std::optional<SymbolVerdict>> verdicts_;
 
     double totalCycles_ = 0.0;
     std::uint64_t traces_ = 0;

@@ -4,7 +4,7 @@
 
 namespace accel::profiling {
 
-const std::string &
+SymbolId
 CallTrace::leafFrame() const
 {
     require(!frames.empty(), "CallTrace: no frames");

@@ -4,13 +4,15 @@
  *
  * Mirrors what Strobelight gives the paper's authors: a stack of frames
  * from thread entry down to a leaf function, annotated with the cycles
- * and instructions attributed to it.
+ * and instructions attributed to it. Frames are interned symbol ids;
+ * symbolName() gives their names.
  */
 
 #pragma once
 
-#include <string>
 #include <vector>
+
+#include "profiling/symbol_table.hh"
 
 namespace accel::profiling {
 
@@ -18,7 +20,7 @@ namespace accel::profiling {
 struct CallTrace
 {
     /** Frames ordered outermost (thread entry) to innermost (leaf). */
-    std::vector<std::string> frames;
+    std::vector<SymbolId> frames;
 
     /** Cycles attributed to this trace. */
     double cycles = 0.0;
@@ -27,7 +29,7 @@ struct CallTrace
     double instructions = 0.0;
 
     /** The leaf (innermost) frame. @throws FatalError when empty. */
-    const std::string &leafFrame() const;
+    SymbolId leafFrame() const;
 
     /** IPC of this trace; 0 when no cycles were recorded. */
     double ipc() const;

@@ -9,12 +9,31 @@
 
 namespace accel::profiling {
 
+namespace {
+
+/** "frame;frame;leaf" for an id sequence. */
+std::string
+stackName(const std::vector<SymbolId> &frames)
+{
+    std::vector<std::string> names;
+    names.reserve(frames.size());
+    for (SymbolId frame : frames)
+        names.push_back(symbolName(frame));
+    return join(names, ";");
+}
+
+} // namespace
+
 std::vector<FoldedStack>
 foldStacks(const std::vector<CallTrace> &traces)
 {
-    std::map<std::string, double> folded;
+    // Fold by id sequence, then resolve each unique stack's name once.
+    std::map<std::vector<SymbolId>, double> byIds;
     for (const CallTrace &trace : traces)
-        folded[join(trace.frames, ";")] += trace.cycles;
+        byIds[trace.frames] += trace.cycles;
+    std::map<std::string, double> folded;
+    for (const auto &[frames, cycles] : byIds)
+        folded[stackName(frames)] += cycles;
 
     std::vector<FoldedStack> out;
     out.reserve(folded.size());

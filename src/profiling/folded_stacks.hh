@@ -25,8 +25,9 @@ struct FoldedStack
 };
 
 /**
- * Aggregate traces by their full stack, descending by cycles.
- * Identical stacks merge; frame names keep their order, joined by ';'.
+ * Aggregate traces by their full stack, descending by cycles, ties by
+ * stack name. Identical stacks merge; frame names keep their order,
+ * joined by ';'.
  */
 std::vector<FoldedStack>
 foldStacks(const std::vector<CallTrace> &traces);

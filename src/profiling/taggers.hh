@@ -53,6 +53,10 @@ class FunctionalityTagger
      * decides. Miscellaneous when no frame matches.
      */
     workload::Functionality tag(const CallTrace &trace) const;
+
+    /** The functionality marker one frame name carries, if any. */
+    std::optional<workload::Functionality>
+    marker(const std::string &frameName) const;
 };
 
 } // namespace accel::profiling

@@ -4,19 +4,51 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <sstream>
+
 #include "profiling/sampler.hh"
+#include "util/string_utils.hh"
 
 namespace accel::profiling {
 namespace {
 
 CallTrace
-trace(std::vector<std::string> frames, double cycles)
+trace(const std::vector<std::string> &frames, double cycles)
 {
     CallTrace t;
-    t.frames = std::move(frames);
+    for (const std::string &frame : frames)
+        t.frames.push_back(intern(frame));
     t.cycles = cycles;
     t.instructions = cycles;
     return t;
+}
+
+/** foldedStacksText as a fold over joined frame names. */
+std::string
+stringFoldText(const std::vector<CallTrace> &traces)
+{
+    std::map<std::string, double> folded;
+    for (const CallTrace &t : traces) {
+        std::vector<std::string> names;
+        for (SymbolId frame : t.frames)
+            names.push_back(symbolName(frame));
+        folded[join(names, ";")] += t.cycles;
+    }
+    std::vector<std::pair<std::string, double>> stacks(folded.begin(),
+                                                       folded.end());
+    std::sort(stacks.begin(), stacks.end(),
+              [](const auto &a, const auto &b) {
+                  if (a.second != b.second)
+                      return a.second > b.second;
+                  return a.first < b.first;
+              });
+    std::ostringstream os;
+    for (const auto &[stack, cycles] : stacks)
+        os << stack << " " << std::llround(cycles) << "\n";
+    return os.str();
 }
 
 TEST(FoldedStacks, MergesIdenticalStacks)
@@ -41,6 +73,37 @@ TEST(FoldedStacks, SortedByCyclesThenName)
     EXPECT_EQ(folded[0].stack, "m");
     EXPECT_EQ(folded[1].stack, "a"); // ties break alphabetically
     EXPECT_EQ(folded[2].stack, "z");
+}
+
+TEST(FoldedStacks, OrderIgnoresSymbolIds)
+{
+    // Interned in reverse alphabetical order: ids run against names.
+    const SymbolId c = intern("fold-order/c");
+    const SymbolId b = intern("fold-order/b");
+    const SymbolId a = intern("fold-order/a");
+    ASSERT_LT(c, b);
+    ASSERT_LT(b, a);
+    std::vector<CallTrace> traces = {
+        trace({"fold-order/c"}, 10),
+        trace({"fold-order/a", "fold-order/c"}, 20),
+        trace({"fold-order/b"}, 10),
+        trace({"fold-order/a", "fold-order/b"}, 20),
+        trace({"fold-order/a"}, 10),
+    };
+    auto folded = foldStacks(traces);
+    ASSERT_EQ(folded.size(), 5u);
+    EXPECT_EQ(folded[0].stack, "fold-order/a;fold-order/b");
+    EXPECT_EQ(folded[1].stack, "fold-order/a;fold-order/c");
+    EXPECT_EQ(folded[2].stack, "fold-order/a");
+    EXPECT_EQ(folded[3].stack, "fold-order/b");
+    EXPECT_EQ(folded[4].stack, "fold-order/c");
+
+    // Mixed into a sampled stream, the text is the string fold's.
+    TraceSampler sampler(workload::profile(workload::ServiceId::Feed1),
+                         workload::CpuGen::GenC, 11);
+    for (CallTrace &t : sampler.sampleMany(20000))
+        traces.push_back(std::move(t));
+    EXPECT_EQ(foldedStacksText(traces), stringFoldText(traces));
 }
 
 TEST(FoldedStacks, TextFormatIsFlamegraphInput)

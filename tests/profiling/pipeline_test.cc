@@ -19,6 +19,9 @@ using workload::Functionality;
 using workload::LeafCategory;
 using workload::ServiceId;
 
+/** Traces per recovery test; enough for sub-percent share bounds. */
+constexpr size_t kRecoveryTraces = 1000000;
+
 class PipelineTest : public testing::TestWithParam<ServiceId>
 {
 };
@@ -26,12 +29,13 @@ class PipelineTest : public testing::TestWithParam<ServiceId>
 TEST_P(PipelineTest, RecoversLeafBreakdown)
 {
     const auto &profile = workload::profile(GetParam());
-    Aggregator agg = profileService(GetParam(), CpuGen::GenC, 42, 80000);
+    Aggregator agg =
+        profileService(GetParam(), CpuGen::GenC, 42, kRecoveryTraces);
     auto recovered = agg.leafBreakdown();
     for (LeafCategory l : workload::allLeafCategories()) {
         double expected = profile.leafShare.at(l);
         double got = recovered.count(l) ? recovered[l] : 0.0;
-        EXPECT_NEAR(got, expected, 2.5)
+        EXPECT_NEAR(got, expected, 0.75)
             << profile.name << " / " << toString(l);
     }
 }
@@ -39,12 +43,13 @@ TEST_P(PipelineTest, RecoversLeafBreakdown)
 TEST_P(PipelineTest, RecoversFunctionalityBreakdown)
 {
     const auto &profile = workload::profile(GetParam());
-    Aggregator agg = profileService(GetParam(), CpuGen::GenC, 43, 80000);
+    Aggregator agg =
+        profileService(GetParam(), CpuGen::GenC, 43, kRecoveryTraces);
     auto recovered = agg.functionalityBreakdown();
     for (Functionality f : workload::allFunctionalities()) {
         double expected = profile.functionalityShare.at(f);
         double got = recovered.count(f) ? recovered[f] : 0.0;
-        EXPECT_NEAR(got, expected, 2.5)
+        EXPECT_NEAR(got, expected, 0.75)
             << profile.name << " / " << toString(f);
     }
 }
@@ -52,12 +57,13 @@ TEST_P(PipelineTest, RecoversFunctionalityBreakdown)
 TEST_P(PipelineTest, RecoversMemorySubBreakdown)
 {
     const auto &profile = workload::profile(GetParam());
-    Aggregator agg = profileService(GetParam(), CpuGen::GenC, 44, 80000);
+    Aggregator agg =
+        profileService(GetParam(), CpuGen::GenC, 44, kRecoveryTraces);
     auto recovered = agg.memoryBreakdown();
     for (auto leaf : workload::allMemoryLeaves()) {
         double expected = profile.memoryShare.at(leaf);
         double got = recovered.count(leaf) ? recovered[leaf] : 0.0;
-        EXPECT_NEAR(got, expected, 4.0)
+        EXPECT_NEAR(got, expected, 1.0)
             << profile.name << " / " << toString(leaf);
     }
 }

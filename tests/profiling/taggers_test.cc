@@ -72,6 +72,26 @@ TEST(LeafTagger, ClibAndFallback)
     EXPECT_EQ(t.tag("svc_opaque_leaf"), LeafCategory::Miscellaneous);
 }
 
+TEST(LeafTagger, MatchBoundaries)
+{
+    LeafTagger t;
+    // A needle that ends the name, and a name that is all needle.
+    EXPECT_EQ(t.tag("sys_futex"), LeafCategory::Kernel);
+    EXPECT_EQ(*t.kernelLeaf("net_rx"), KernelLeaf::Network);
+    // Names shorter than every needle they start.
+    EXPECT_EQ(t.tag("memcp"), LeafCategory::Miscellaneous);
+    EXPECT_EQ(t.tag("tcp"), LeafCategory::Miscellaneous);
+    EXPECT_FALSE(t.memoryLeaf("memc").has_value());
+    EXPECT_EQ(t.tag(""), LeafCategory::Miscellaneous);
+    // Upper case folds for the substring rules...
+    EXPECT_EQ(t.tag("PTHREAD_MUTEX_LOCK"), LeafCategory::Synchronization);
+    EXPECT_EQ(*t.syncLeaf("PTHREAD_MUTEX_LOCK"), SyncLeaf::Mutex);
+    EXPECT_EQ(*t.memoryLeaf("__MEMCPY_AVX_UNALIGNED"), MemoryLeaf::Copy);
+    // ...but the bare "free" rule is an exact, case-sensitive match.
+    EXPECT_EQ(t.tag("FREE"), LeafCategory::Miscellaneous);
+    EXPECT_FALSE(t.memoryLeaf("free_list").has_value());
+}
+
 TEST(LeafTagger, MemorySubLeaves)
 {
     LeafTagger t;
@@ -127,10 +147,11 @@ TEST(LeafTagger, ClibSubLeaves)
 }
 
 CallTrace
-trace(std::vector<std::string> frames)
+trace(const std::vector<std::string> &frames)
 {
     CallTrace t;
-    t.frames = std::move(frames);
+    for (const std::string &frame : frames)
+        t.frames.push_back(intern(frame));
     t.cycles = 100;
     t.instructions = 80;
     return t;
@@ -186,7 +207,7 @@ TEST(FunctionalityTagger, UnknownFallsToMiscellaneous)
 TEST(CallTrace, LeafAndIpc)
 {
     CallTrace t = trace({"a", "b", "leaf_fn"});
-    EXPECT_EQ(t.leafFrame(), "leaf_fn");
+    EXPECT_EQ(symbolName(t.leafFrame()), "leaf_fn");
     EXPECT_NEAR(t.ipc(), 0.8, 1e-12);
 }
 
