@@ -37,12 +37,6 @@ PoolAllocator::~PoolAllocator()
 }
 
 size_t
-PoolAllocator::sizeClassCount() const
-{
-    return classSizes_.size();
-}
-
-size_t
 PoolAllocator::sizeClassFor(size_t bytes) const
 {
     require(bytes > 0, "PoolAllocator: zero-byte allocation");

@@ -75,9 +75,6 @@ class PoolAllocator
      */
     void sizedFree(void *ptr, size_t bytes);
 
-    /** Number of size classes. */
-    size_t sizeClassCount() const;
-
     /** Size class index for a request. @throws FatalError when oversized. */
     size_t sizeClassFor(size_t bytes) const;
 

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "util/logging.hh"
-#include "util/string_utils.hh"
 
 namespace accel::microsim {
 
@@ -282,81 +281,6 @@ ArrivalProgram::compose(const std::vector<ArrivalProgram> &parts)
     }
     out.validate();
     return out;
-}
-
-ArrivalProgram
-arrivalProgramFromConfig(const Config &cfg, const std::string &section)
-{
-    ArrivalProgram program;
-    bool linear = false;
-    if (cfg.has(section, "arrival_shape")) {
-        std::string shape = cfg.getString(section, "arrival_shape");
-        require(shape == "step" || shape == "linear",
-                "arrival_shape: want 'step' or 'linear', got '" +
-                    shape + "'");
-        linear = shape == "linear";
-    }
-    program.periodSeconds =
-        cfg.getDouble(section, "arrival_period", 0.0);
-
-    if (cfg.has(section, "arrival_trace")) {
-        std::vector<double> times;
-        std::vector<double> rates;
-        for (const std::string &part :
-             split(cfg.getString(section, "arrival_trace"), ',')) {
-            std::string pair = trim(part);
-            if (pair.empty())
-                continue;
-            auto fields = split(pair, ':');
-            require(fields.size() == 2,
-                    "arrival_trace: expected time:rate, got '" + pair +
-                        "'");
-            times.push_back(parseDouble(fields[0]));
-            rates.push_back(parseDouble(fields[1]));
-        }
-        require(!times.empty(), "arrival_trace: no breakpoints");
-        for (size_t i = 0; i < times.size(); ++i) {
-            double end;
-            double endRate;
-            if (i + 1 < times.size()) {
-                end = times[i + 1];
-                endRate = linear ? rates[i + 1] : rates[i];
-            } else if (program.periodSeconds > 0.0) {
-                // Periodic: the last span closes the loop; a linear
-                // trace ramps back to the first breakpoint's rate.
-                end = program.periodSeconds;
-                endRate = linear ? rates.front() : rates[i];
-            } else {
-                end = kInf;
-                endRate = rates[i];
-            }
-            program.segments.push_back(
-                ArrivalSegment{times[i], end, rates[i], endRate});
-        }
-    } else {
-        require(program.periodSeconds == 0.0,
-                "arrival_period: set without arrival_trace");
-        require(!cfg.has(section, "arrival_shape"),
-                "arrival_shape: set without arrival_trace");
-    }
-
-    if (cfg.has(section, "arrival_flash_at")) {
-        require(!program.segments.empty(),
-                "arrival_flash_at: set without arrival_trace");
-        require(program.periodSeconds == 0.0,
-                "arrival_flash_at: a flash crowd on a periodic trace "
-                "is unsupported; unroll the trace instead");
-        ArrivalProgram flash = ArrivalProgram::flashCrowd(
-            cfg.getDouble(section, "arrival_flash_extra"),
-            cfg.getDouble(section, "arrival_flash_at"),
-            cfg.getDouble(section, "arrival_flash_ramp", 0.0),
-            cfg.getDouble(section, "arrival_flash_hold", 0.0));
-        program = ArrivalProgram::compose({program, flash});
-    }
-
-    if (!program.empty())
-        program.validate();
-    return program;
 }
 
 } // namespace accel::microsim

@@ -21,10 +21,7 @@
 
 #pragma once
 
-#include <string>
 #include <vector>
-
-#include "config/config.hh"
 
 namespace accel::microsim {
 
@@ -106,27 +103,5 @@ struct ArrivalProgram
      */
     static ArrivalProgram compose(const std::vector<ArrivalProgram> &parts);
 };
-
-/**
- * Parse a section's arrival keys into an ArrivalProgram. Recognised
- * keys:
- *
- *     arrival_trace = 0:1e5, 0.2:2e5, 0.4:5e4   ; time:rate breakpoints
- *     arrival_shape = step                      ; or "linear" ramps
- *     arrival_period = 0.6                      ; optional wrap
- *     arrival_flash_at = 0.25                   ; flash-crowd overlay...
- *     arrival_flash_extra = 1e5                 ; ...added arrivals/sec
- *     arrival_flash_ramp = 0.02                 ; ...ramp up/down time
- *     arrival_flash_hold = 0.05                 ; ...time at full surge
- *
- * With `arrival_shape = step` each breakpoint's rate holds until the
- * next breakpoint; with `linear` the rate ramps between breakpoints.
- * A section with none of these keys yields the empty program (the
- * constant openArrivalsPerSec path).
- *
- * @throws FatalError on malformed traces or out-of-domain values.
- */
-ArrivalProgram arrivalProgramFromConfig(const Config &cfg,
-                                        const std::string &section);
 
 } // namespace accel::microsim

@@ -69,43 +69,6 @@ AutoscalerConfig::validate() const
             "(the gate runs on the control cadence)");
 }
 
-AutoscalerConfig
-autoscalerFromConfig(const Config &cfg, const std::string &section)
-{
-    AutoscalerConfig a;
-    if (cfg.has(section, "scale_interval")) {
-        a.enabled = true;
-        a.intervalCycles = cfg.getDouble(section, "scale_interval");
-        a.sloLatencyCycles = cfg.getDouble(section, "scale_slo_p99");
-    }
-    a.scaleUpPressure =
-        cfg.getDouble(section, "scale_up_pressure", 0.9);
-    a.scaleDownPressure =
-        cfg.getDouble(section, "scale_down_pressure", 0.5);
-    a.upWindows = static_cast<std::uint32_t>(
-        cfg.getCount(section, "scale_up_windows", 1));
-    a.downWindows = static_cast<std::uint32_t>(
-        cfg.getCount(section, "scale_down_windows", 3));
-    a.cooldownCycles = cfg.getDouble(section, "scale_cooldown", 0.0);
-    a.minReplicas = static_cast<std::uint32_t>(
-        cfg.getCount(section, "scale_min_replicas", 1));
-    a.maxReplicas = static_cast<std::uint32_t>(
-        cfg.getCount(section, "scale_max_replicas", a.minReplicas));
-    a.scaleStep = static_cast<std::uint32_t>(
-        cfg.getCount(section, "scale_step", 1));
-    if (cfg.has(section, "scale_brownout_floor")) {
-        a.brownout = true;
-        a.brownoutFloor = static_cast<std::uint32_t>(
-            cfg.getCount(section, "scale_brownout_floor"));
-    }
-    a.brownoutTighten =
-        cfg.getDouble(section, "scale_brownout_tighten", 0.5);
-    a.brownoutRelax =
-        cfg.getDouble(section, "scale_brownout_relax", 2.0);
-    a.validate();
-    return a;
-}
-
 std::string
 AutoscalerStats::summaryJson() const
 {

@@ -33,7 +33,6 @@
 #include <memory>
 #include <string>
 
-#include "config/config.hh"
 #include "microsim/tier.hh"
 #include "sim/event_queue.hh"
 #include "stats/histogram.hh"
@@ -93,32 +92,6 @@ struct AutoscalerConfig
     /** @throws FatalError on out-of-domain values (names the field). */
     void validate() const;
 };
-
-/**
- * Parse a section's autoscaler keys into an AutoscalerConfig.
- * Recognised keys:
- *
- *     scale_interval = 2e6        ; presence enables the autoscaler
- *     scale_slo_p99 = 1.2e5       ; required with scale_interval
- *     scale_up_pressure = 0.9
- *     scale_down_pressure = 0.5
- *     scale_up_windows = 1
- *     scale_down_windows = 3
- *     scale_cooldown = 0
- *     scale_min_replicas = 1
- *     scale_max_replicas = 4
- *     scale_step = 1
- *     scale_brownout_floor = 4    ; presence enables the brown-out gate
- *     scale_brownout_tighten = 0.5
- *     scale_brownout_relax = 2
- *
- * A section with none of these keys yields the default (disabled)
- * config.
- *
- * @throws FatalError on malformed or out-of-domain values.
- */
-AutoscalerConfig autoscalerFromConfig(const Config &cfg,
-                                      const std::string &section);
 
 /** Observed control-loop behaviour over a run. */
 struct AutoscalerStats

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "config/config.hh"
 #include "util/logging.hh"
 
 namespace accel::microsim {
@@ -36,25 +35,6 @@ BreakerConfig::validate() const
                 openThreshold <= 1,
             "BreakerConfig.openThreshold must be in (0, 1]");
     requireCycles(probeAfterCycles, "BreakerConfig.probeAfterCycles");
-}
-
-BreakerConfig
-breakerFromConfig(const Config &cfg, const std::string &section,
-                  const std::string &prefix)
-{
-    auto key = [&prefix](const char *k) { return prefix + k; };
-    BreakerConfig b;
-    if (!cfg.has(section, key("breaker_open_threshold")))
-        return b;
-    b.enabled = true;
-    b.openThreshold = cfg.getDouble(section, key("breaker_open_threshold"));
-    b.window = static_cast<std::uint32_t>(
-        cfg.getCount(section, key("breaker_window"), b.window));
-    b.minSamples = static_cast<std::uint32_t>(
-        cfg.getCount(section, key("breaker_min_samples"), b.minSamples));
-    b.probeAfterCycles = cfg.getDouble(section, key("breaker_probe_after"),
-                                       b.probeAfterCycles);
-    return b;
 }
 
 CircuitBreaker::Gate

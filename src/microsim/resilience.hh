@@ -15,13 +15,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <string>
 
 #include "sim/event_queue.hh"
-
-namespace accel {
-class Config;
-} // namespace accel
 
 namespace accel::microsim {
 
@@ -83,18 +78,6 @@ struct BreakerConfig
     /** @throws FatalError on out-of-domain values (names the field). */
     void validate() const;
 };
-
-/**
- * Parse `<prefix>breaker_*` keys of @p section: presence of
- * breaker_open_threshold enables the breaker, and only then are
- * breaker_window, breaker_min_samples and breaker_probe_after read.
- * Without a threshold the dependent keys stay unconsumed, so a
- * caller's unknown-key check rejects them by name.
- * @throws FatalError on malformed values (names the key).
- */
-BreakerConfig breakerFromConfig(const Config &cfg,
-                                const std::string &section,
-                                const std::string &prefix);
 
 /**
  * The breaker state machine. While closed, outcomes feed a sliding

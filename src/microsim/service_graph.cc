@@ -4,10 +4,8 @@
 #include <cmath>
 #include <sstream>
 
-#include "model/config_frontend.hh"
 #include "util/json_fmt.hh"
 #include "util/logging.hh"
-#include "util/string_utils.hh"
 
 namespace accel::microsim {
 
@@ -27,16 +25,6 @@ toString(CallStyle style)
     panic("toString: unreachable CallStyle");
 }
 
-CallStyle
-callStyleFromString(const std::string &name)
-{
-    if (name == "sync")
-        return CallStyle::Sync;
-    if (name == "async")
-        return CallStyle::Async;
-    fatal("unknown call style '" + name + "' (want sync | async)");
-}
-
 const char *
 toString(BudgetSplit split)
 {
@@ -47,17 +35,6 @@ toString(BudgetSplit split)
         return "reserve_for_retry";
     }
     panic("toString: unreachable BudgetSplit");
-}
-
-BudgetSplit
-budgetSplitFromString(const std::string &name)
-{
-    if (name == "even")
-        return BudgetSplit::Even;
-    if (name == "reserve_for_retry")
-        return BudgetSplit::ReserveForRetry;
-    fatal("unknown budget split '" + name +
-          "' (want even | reserve_for_retry)");
 }
 
 bool
@@ -289,26 +266,6 @@ ServiceGraph::hasInEdge(std::uint32_t node) const
                        });
 }
 
-namespace {
-
-/** Collect one throwing check as an error line (prefix stripped). */
-template <typename Fn>
-void
-collect(std::vector<std::string> &out, const std::string &where, Fn &&check)
-{
-    try {
-        check();
-    } catch (const FatalError &e) {
-        std::string msg = e.what();
-        const std::string prefix = "fatal: ";
-        if (msg.rfind(prefix, 0) == 0)
-            msg.erase(0, prefix.size());
-        out.push_back(where + msg);
-    }
-}
-
-} // namespace
-
 std::vector<std::string>
 ServiceGraph::errors() const
 {
@@ -359,9 +316,9 @@ ServiceGraph::errors() const
                 out.push_back("duplicate shared tier name '" + def.name +
                               "'");
         }
-        collect(out, "shared tier '" + def.name + "': ",
+        collectFatal(out, "shared tier '" + def.name + "': ",
                 [&def] { def.device.validate(); });
-        collect(out, "shared tier '" + def.name + "': ",
+        collectFatal(out, "shared tier '" + def.name + "': ",
                 [&def] { def.config.validate(); });
         bool used = false;
         for (const ServiceSpec &spec : specs_) {
@@ -405,7 +362,7 @@ ServiceGraph::errors() const
     for (const EdgeConfig &edge : edges_) {
         const std::string where =
             "edge " + edge.caller + " -> " + edge.callee + ": ";
-        collect(out, where, [&edge] { edge.validate(); });
+        collectFatal(out, where, [&edge] { edge.validate(); });
         bool endpoints = true;
         for (const std::string &end : {edge.caller, edge.callee}) {
             if (!end.empty() && !known(end)) {
@@ -1077,96 +1034,6 @@ ServiceGraph::settleChain(std::uint64_t chainId, ChainOutcome outcome,
         return;
     }
     panic("settleChain: unreachable outcome");
-}
-
-// --------------------------------------------------------------------
-// Config front end
-// --------------------------------------------------------------------
-
-EdgeConfig
-edgeFromConfig(const Config &cfg, const std::string &section,
-               const std::string &prefix)
-{
-    auto key = [&prefix](const char *k) { return prefix + k; };
-    EdgeConfig e;
-    e.caller = cfg.getString(section, key("caller"));
-    e.callee = cfg.getString(section, key("callee"));
-    e.fanout =
-        static_cast<std::uint32_t>(cfg.getCount(section, key("fanout"), 1));
-    e.style =
-        callStyleFromString(cfg.getString(section, key("style"), "sync"));
-    e.latencyCycles = cfg.getDouble(section, key("latency"), 0.0);
-    e.latencyJitterCycles = cfg.getDouble(section, key("jitter"), 0.0);
-    e.rpcTimeoutCycles = cfg.getDouble(section, key("timeout"), 0.0);
-    e.maxAttempts = static_cast<std::uint32_t>(
-        cfg.getCount(section, key("max_attempts"), 1));
-    e.retryBudget.ratio =
-        cfg.getDouble(section, key("retry_budget_ratio"), 0.1);
-    e.retryBudget.cap =
-        cfg.getDouble(section, key("retry_budget_cap"), 0.0);
-    e.budgetSplit = budgetSplitFromString(
-        cfg.getString(section, key("budget_split"), "even"));
-    e.breaker = breakerFromConfig(cfg, section, prefix);
-    // Any fault key enables the plan. No short-circuit: every key must
-    // be probed so unusedKeys() sees them all.
-    bool f_seed = cfg.has(section, key("fault_seed"));
-    bool f_drop = cfg.has(section, key("fault_drop_p"));
-    bool f_spike = cfg.has(section, key("fault_spike_p"));
-    bool f_spike_cycles = cfg.has(section, key("fault_spike_cycles"));
-    bool f_spike_windows = cfg.has(section, key("fault_spike_windows"));
-    bool f_blackholes = cfg.has(section, key("fault_blackholes"));
-    if (f_seed || f_drop || f_spike || f_spike_cycles || f_spike_windows ||
-        f_blackholes) {
-        auto plan = std::make_shared<faults::EdgeFaultPlan>();
-        plan->seed = cfg.getCount(section, key("fault_seed"), 1);
-        plan->dropProbability =
-            cfg.getDouble(section, key("fault_drop_p"), 0.0);
-        plan->spikeProbability =
-            cfg.getDouble(section, key("fault_spike_p"), 0.0);
-        plan->spikeLatencyCycles =
-            cfg.getDouble(section, key("fault_spike_cycles"), 0.0);
-        if (f_spike_windows)
-            plan->spikeWindows = model::windowsFromConfig(
-                cfg, section, key("fault_spike_windows"));
-        if (f_blackholes)
-            plan->blackholes = model::windowsFromConfig(
-                cfg, section, key("fault_blackholes"));
-        e.faultPlan = std::move(plan);
-    }
-    return e;
-}
-
-ServiceGraph
-serviceGraphFromConfig(const Config &cfg, const std::string &graphSection)
-{
-    ServiceGraph g(cfg.getCount(graphSection, "seed", 1));
-    g.rootDeadline(
-        cfg.getDouble(graphSection, "root_deadline_cycles", 0.0));
-    for (const std::string &entry :
-         split(cfg.getString(graphSection, "services"), ',')) {
-        std::string name = trim(entry);
-        if (name.empty())
-            fatal("config key 'services' in [" + graphSection +
-                  "]: empty service section name");
-        g.addService(ServiceSpec::fromConfig(cfg, name));
-    }
-    for (std::size_t i = 0;; ++i) {
-        std::string prefix = "edge_" + std::to_string(i) + "_";
-        if (!cfg.has(graphSection, prefix + "caller"))
-            break;
-        g.addEdge(edgeFromConfig(cfg, graphSection, prefix));
-    }
-    std::vector<std::string> unknown = cfg.unusedKeys(graphSection);
-    if (!unknown.empty()) {
-        std::string msg = "serviceGraphFromConfig: unknown key" +
-            std::string(unknown.size() == 1 ? "" : "s") + " in [" +
-            graphSection + "]:";
-        for (const std::string &k : unknown)
-            msg += " '" + k + "'";
-        msg += " (edges must be numbered contiguously from edge_0_)";
-        fatal(msg);
-    }
-    return g;
 }
 
 } // namespace accel::microsim

@@ -37,7 +37,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "config/config.hh"
 #include "faults/edge_fault_plan.hh"
 #include "microsim/service_spec.hh"
 #include "stats/reservoir.hh"
@@ -52,7 +51,6 @@ enum class CallStyle
 };
 
 const char *toString(CallStyle style);
-CallStyle callStyleFromString(const std::string &name);
 
 /**
  * How a caller splits its remaining deadline budget across an edge's
@@ -71,7 +69,6 @@ enum class BudgetSplit
 };
 
 const char *toString(BudgetSplit split);
-BudgetSplit budgetSplitFromString(const std::string &name);
 
 /**
  * Per-edge token-bucket retry limiter: the standard defense against
@@ -151,21 +148,6 @@ struct EdgeConfig
     /** @throws FatalError on out-of-domain values (names the field). */
     void validate() const;
 };
-
-/**
- * Parse one edge from `<prefix>*` keys of @p section (the graph
- * config convention uses `edge_<i>_` prefixes): caller, callee,
- * fanout, style, latency, jitter, timeout, max_attempts,
- * retry_budget_ratio, retry_budget_cap, budget_split,
- * breaker_{open_threshold,window,min_samples,probe_after} (presence
- * of breaker_open_threshold enables), and
- * fault_{seed,drop_p,spike_p,spike_cycles,spike_windows,blackholes}
- * (presence of any enables; window lists = "begin:end,begin:end" in
- * ticks).
- * @throws FatalError on malformed values (names the key).
- */
-EdgeConfig edgeFromConfig(const Config &cfg, const std::string &section,
-                          const std::string &prefix);
 
 /** Per-edge call accounting over the measurement window. */
 struct EdgeStats
@@ -487,28 +469,5 @@ class ServiceGraph
     bool ran_ = false;
     GraphMetrics metrics_;
 };
-
-/**
- * Assemble a ServiceGraph from one config: @p graphSection holds the
- * graph-level keys and each named service section parses through
- * ServiceSpec::fromConfig. Recognised graph keys:
- *
- *     [graph]
- *     services = web, ads, cache   ; section name per node (required)
- *     seed = 2020
- *     root_deadline_cycles = 1e6   ; 0 = no deadline budget
- *     edge_0_caller = web          ; edges numbered from 0 (see
- *     edge_0_callee = ads          ;  edgeFromConfig for the full
- *     edge_0_timeout = 2e5         ;  per-edge key list)
- *     ...
- *
- * Unknown keys in the graph section or any service section are
- * rejected with a field-named error. The returned graph is assembled
- * but not validated: call errors()/validate() (or run()) to surface
- * domain problems across all nodes at once.
- * @throws FatalError on unknown keys or malformed values.
- */
-ServiceGraph serviceGraphFromConfig(const Config &cfg,
-                                    const std::string &graphSection = "graph");
 
 } // namespace accel::microsim

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "model/config_frontend.hh"
 #include "util/json_fmt.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -35,19 +34,6 @@ toString(DispatchPolicy policy)
         return "p2c";
     }
     return "?";
-}
-
-DispatchPolicy
-dispatchPolicyFromString(const std::string &name)
-{
-    if (name == "round-robin" || name == "rr")
-        return DispatchPolicy::RoundRobin;
-    if (name == "least-outstanding" || name == "lo")
-        return DispatchPolicy::LeastOutstanding;
-    if (name == "p2c" || name == "power-of-two")
-        return DispatchPolicy::PowerOfTwoChoices;
-    fatal("tier_policy: unknown dispatch policy '" + name +
-          "' (want round-robin, least-outstanding, or p2c)");
 }
 
 void
@@ -90,50 +76,6 @@ TierConfig::validate() const
         if (plan)
             plan->validate();
     }
-}
-
-TierConfig
-tierFromConfig(const Config &cfg, const std::string &section)
-{
-    TierConfig tier;
-    tier.replicas = static_cast<std::uint32_t>(
-        cfg.getCount(section, "tier_replicas", 1));
-    tier.policy = dispatchPolicyFromString(
-        cfg.getString(section, "tier_policy", "round-robin"));
-    if (cfg.has(section, "tier_hedge_delay")) {
-        tier.hedge.enabled = true;
-        tier.hedge.delayCycles =
-            cfg.getDouble(section, "tier_hedge_delay");
-    }
-    if (cfg.has(section, "tier_health_timeout")) {
-        tier.healthTimeoutCycles =
-            cfg.getDouble(section, "tier_health_timeout");
-    }
-    tier.ejectAfterFailures = static_cast<std::uint32_t>(
-        cfg.getCount(section, "tier_eject_after", 3));
-    tier.readmitAfterCycles =
-        cfg.getDouble(section, "tier_readmit_after", 1e6);
-    tier.maxFailovers = static_cast<std::uint32_t>(
-        cfg.getCount(section, "tier_max_failovers", 3));
-    tier.seed = cfg.getCount(section, "tier_seed", 1);
-
-    // Per-replica fault plans: fault_r<k>_* keys, parsed by the same
-    // front end as device-level fault_* keys. Only materialise the
-    // vector when at least one replica has a plan, so a plan-free
-    // section stays the exact default TierConfig.
-    std::vector<std::shared_ptr<const faults::FaultPlan>> plans;
-    bool anyPlan = false;
-    for (std::uint32_t r = 0; r < tier.replicas; ++r) {
-        auto plan = model::faultPlanFromConfig(
-            cfg, section, "fault_r" + std::to_string(r) + "_");
-        anyPlan = anyPlan || plan != nullptr;
-        plans.push_back(std::move(plan));
-    }
-    if (anyPlan)
-        tier.replicaFaultPlans = std::move(plans);
-
-    tier.validate();
-    return tier;
 }
 
 double

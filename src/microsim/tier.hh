@@ -50,7 +50,6 @@
 #include <string>
 #include <vector>
 
-#include "config/config.hh"
 #include "microsim/accelerator.hh"
 #include "sim/event_queue.hh"
 #include "stats/reservoir.hh"
@@ -65,11 +64,8 @@ enum class DispatchPolicy
     PowerOfTwoChoices, //!< two slot-indexed draws, keep the less loaded
 };
 
-/** Human-readable policy name (used by benches and config parsing). */
+/** Human-readable policy name (used by benches). */
 const char *toString(DispatchPolicy policy);
-
-/** Parse a policy name ("round-robin", "least-outstanding", "p2c"). */
-DispatchPolicy dispatchPolicyFromString(const std::string &name);
 
 /**
  * Hedged-offload policy. When enabled, an offload that has not settled
@@ -136,29 +132,6 @@ struct TierConfig
     /** @throws FatalError on out-of-domain values (names the field). */
     void validate() const;
 };
-
-/**
- * Parse a section's tier keys into a TierConfig. Recognised keys:
- *
- *     tier_replicas = 4
- *     tier_policy = round-robin         ; least-outstanding | p2c
- *     tier_hedge_delay = 5000           ; presence enables hedging
- *     tier_health_timeout = 20000       ; presence enables health/failover
- *     tier_eject_after = 3
- *     tier_readmit_after = 1e6
- *     tier_max_failovers = 3
- *     tier_seed = 7
- *
- * Per-replica fault plans come from `fault_r<k>_*` keys parsed by
- * model::faultPlanFromConfig with prefix "fault_r<k>_", e.g.
- * `fault_r2_drop_p = 0.5` makes replica 2 lossy while the others stay
- * healthy. A section with none of these keys yields the default
- * (trivial) TierConfig.
- *
- * @throws FatalError on malformed or out-of-domain values.
- */
-TierConfig tierFromConfig(const Config &cfg,
-                          const std::string &section);
 
 /** Tier-scope view of one replica over a run. */
 struct TierReplicaStats

@@ -196,17 +196,6 @@ OffloadProfit::improvesSpeedup(double granularity, ThreadingDesign design,
     return offloadWins(hostKernelCycles(granularity), factor, overhead);
 }
 
-bool
-OffloadProfit::reducesLatency(double granularity, ThreadingDesign design,
-                              const Params &params) const
-{
-    double overhead = params.dispatchCycles() +
-        latencySwitches(design) * params.threadSwitchCycles;
-    double factor = accelOnLatencyPath(design, params.strategy)
-        ? 1.0 - 1.0 / params.accelFactor : 1.0;
-    return offloadWins(hostKernelCycles(granularity), factor, overhead);
-}
-
 double
 OffloadProfit::breakEvenSpeedup(ThreadingDesign design,
                                 const Params &params) const

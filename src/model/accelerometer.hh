@@ -114,10 +114,6 @@ struct OffloadProfit
     bool improvesSpeedup(double granularity, ThreadingDesign design,
                          const Params &params) const;
 
-    /** True when offloading a g-byte kernel reduces request latency. */
-    bool reducesLatency(double granularity, ThreadingDesign design,
-                        const Params &params) const;
-
     /**
      * Smallest granularity whose offload improves throughput (the
      * "break-even g" the paper marks on its CDF figures), or +inf when no

@@ -77,71 +77,6 @@ threadingFromConfig(const Config &cfg, const std::string &section)
     return threadingFromString(cfg.getString(section, "threading", "sync"));
 }
 
-std::shared_ptr<const faults::FaultPlan>
-faultPlanFromConfig(const Config &cfg, const std::string &section)
-{
-    return faultPlanFromConfig(cfg, section, "fault_");
-}
-
-std::shared_ptr<const faults::FaultPlan>
-faultPlanFromConfig(const Config &cfg, const std::string &section,
-                    const std::string &prefix)
-{
-    static const char *kKeys[] = {
-        "seed",    "drop_p",       "late_p",
-        "late_cycles", "spike_p",  "spike_factor",
-        "stalls",  "fail_at",      "recover_at",
-    };
-    bool any = false;
-    for (const char *key : kKeys)
-        any = any || cfg.has(section, prefix + key);
-    if (!any)
-        return nullptr;
-
-    faults::FaultPlan plan;
-    plan.seed = cfg.getCount(section, prefix + "seed", 1);
-    plan.dropProbability = cfg.getDouble(section, prefix + "drop_p", 0.0);
-    plan.lateProbability = cfg.getDouble(section, prefix + "late_p", 0.0);
-    plan.lateDelayCycles =
-        cfg.getDouble(section, prefix + "late_cycles", 0.0);
-    plan.transferSpikeProbability =
-        cfg.getDouble(section, prefix + "spike_p", 0.0);
-    plan.transferSpikeFactor =
-        cfg.getDouble(section, prefix + "spike_factor", 1.0);
-    if (cfg.has(section, prefix + "stalls"))
-        plan.stallWindows = windowsFromConfig(cfg, section, prefix + "stalls");
-    if (cfg.has(section, prefix + "fail_at"))
-        plan.deviceFailAtTick = cfg.getCount(section, prefix + "fail_at");
-    if (cfg.has(section, prefix + "recover_at"))
-        plan.deviceRecoverAtTick =
-            cfg.getCount(section, prefix + "recover_at");
-    plan.validate();
-    return std::make_shared<const faults::FaultPlan>(std::move(plan));
-}
-
-std::vector<faults::StallWindow>
-windowsFromConfig(const Config &cfg, const std::string &section,
-                  const std::string &key)
-{
-    std::vector<faults::StallWindow> windows;
-    for (const std::string &w : split(cfg.getString(section, key), ',')) {
-        std::vector<std::string> ends = split(w, ':');
-        if (ends.size() != 2)
-            fatal("config key '" + key +
-                  "': want begin:end[,begin:end] in ticks, got '" + w +
-                  "'");
-        faults::StallWindow win;
-        try {
-            win.begin = parseCount(trim(ends[0]));
-            win.end = parseCount(trim(ends[1]));
-        } catch (const FatalError &err) {
-            fatal("config key '" + key + "': " + err.what());
-        }
-        windows.push_back(win);
-    }
-    return windows;
-}
-
 std::vector<ConfigCase>
 casesFromConfig(const Config &cfg)
 {
@@ -153,6 +88,18 @@ casesFromConfig(const Config &cfg)
         c.name = section.empty() ? "(global)" : section;
         c.params = paramsFromConfig(cfg, section);
         c.design = threadingFromConfig(cfg, section);
+        // Every key the model reads has been probed by now, so a key
+        // left unused is one it does not know: usually a typo that
+        // would otherwise silently keep the default.
+        std::vector<std::string> unknown = cfg.unusedKeys(section);
+        if (!unknown.empty()) {
+            std::string msg = "config: unknown key" +
+                std::string(unknown.size() == 1 ? "" : "s") + " in [" +
+                c.name + "]:";
+            for (const std::string &k : unknown)
+                msg += " '" + k + "'";
+            fatal(msg);
+        }
         cases.push_back(std::move(c));
     }
     return cases;

@@ -15,6 +15,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace accel {
 
@@ -26,6 +28,28 @@ class FatalError : public std::runtime_error
         : std::runtime_error("fatal: " + msg)
     {}
 };
+
+/**
+ * Run one throwing check and, if it raises FatalError, append its
+ * message (the "fatal: " prefix stripped) to @p out after @p where.
+ * Validators use this to report every problem at once instead of
+ * stopping at the first.
+ */
+template <typename Fn>
+void
+collectFatal(std::vector<std::string> &out, std::string_view where,
+             Fn &&check)
+{
+    try {
+        check();
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        const std::string prefix = "fatal: ";
+        if (msg.rfind(prefix, 0) == 0)
+            msg.erase(0, prefix.size());
+        out.push_back(std::string(where) + msg);
+    }
+}
 
 /** Error raised by panic(): an internal invariant was violated. */
 class PanicError : public std::logic_error

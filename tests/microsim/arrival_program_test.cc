@@ -142,85 +142,5 @@ TEST(ArrivalProgram, NonPeriodicHoldsFinalRate)
     EXPECT_NEAR(p.meanRate(2.0), (150.0 + 200.0) / 2.0, 1e-9);
 }
 
-TEST(ArrivalProgramConfig, StepTraceParses)
-{
-    Config cfg = Config::fromString(
-        "[svc]\n"
-        "arrival_trace = 0:1e5, 0.2:2e5, 0.4:5e4\n"
-        "arrival_shape = step\n");
-    ArrivalProgram p = arrivalProgramFromConfig(cfg, "svc");
-    EXPECT_DOUBLE_EQ(p.rateAt(0.1), 1e5);
-    EXPECT_DOUBLE_EQ(p.rateAt(0.3), 2e5);
-    EXPECT_DOUBLE_EQ(p.rateAt(0.5), 5e4);
-    EXPECT_DOUBLE_EQ(p.rateAt(10.0), 5e4); // final rate held
-    EXPECT_DOUBLE_EQ(p.peakRate(), 2e5);
-}
-
-TEST(ArrivalProgramConfig, LinearPeriodicTraceRampsBack)
-{
-    Config cfg = Config::fromString(
-        "[svc]\n"
-        "arrival_trace = 0:100, 1:300\n"
-        "arrival_shape = linear\n"
-        "arrival_period = 2\n");
-    ArrivalProgram p = arrivalProgramFromConfig(cfg, "svc");
-    EXPECT_DOUBLE_EQ(p.periodSeconds, 2.0);
-    EXPECT_DOUBLE_EQ(p.rateAt(0.5), 200.0);
-    // Last span ramps back to the first breakpoint's rate.
-    EXPECT_DOUBLE_EQ(p.rateAt(1.5), 200.0);
-    EXPECT_DOUBLE_EQ(p.rateAt(2.5), 200.0); // wrapped
-}
-
-TEST(ArrivalProgramConfig, FlashOverlayComposes)
-{
-    Config cfg = Config::fromString(
-        "[svc]\n"
-        "arrival_trace = 0:1000\n"
-        "arrival_flash_at = 0.5\n"
-        "arrival_flash_extra = 400\n"
-        "arrival_flash_ramp = 0.1\n"
-        "arrival_flash_hold = 0.2\n");
-    ArrivalProgram p = arrivalProgramFromConfig(cfg, "svc");
-    EXPECT_DOUBLE_EQ(p.rateAt(0.0), 1000.0);
-    EXPECT_DOUBLE_EQ(p.rateAt(0.7), 1400.0);
-    EXPECT_DOUBLE_EQ(p.rateAt(2.0), 1000.0);
-}
-
-TEST(ArrivalProgramConfig, AbsentKeysYieldEmptyProgram)
-{
-    Config cfg = Config::fromString("[svc]\nopen_arrivals_per_sec = 5\n");
-    EXPECT_TRUE(arrivalProgramFromConfig(cfg, "svc").empty());
-}
-
-TEST(ArrivalProgramConfig, RejectsMalformedKeys)
-{
-    // Period without a trace.
-    Config noTrace =
-        Config::fromString("[svc]\narrival_period = 2\n");
-    EXPECT_THROW(arrivalProgramFromConfig(noTrace, "svc"), FatalError);
-    // Shape without a trace.
-    Config noShape =
-        Config::fromString("[svc]\narrival_shape = step\n");
-    EXPECT_THROW(arrivalProgramFromConfig(noShape, "svc"), FatalError);
-    // Malformed breakpoint.
-    Config badPair = Config::fromString(
-        "[svc]\narrival_trace = 0:100, oops\n");
-    EXPECT_THROW(arrivalProgramFromConfig(badPair, "svc"), FatalError);
-    // Flash crowd on a periodic trace is unsupported.
-    Config flashPeriodic = Config::fromString(
-        "[svc]\n"
-        "arrival_trace = 0:100\n"
-        "arrival_period = 1\n"
-        "arrival_flash_at = 0.5\n"
-        "arrival_flash_extra = 10\n"
-        "arrival_flash_hold = 0.1\n");
-    EXPECT_THROW(arrivalProgramFromConfig(flashPeriodic, "svc"),
-                 FatalError);
-    // Unknown shape literal.
-    Config badShape = Config::fromString(
-        "[svc]\narrival_trace = 0:100\narrival_shape = wavy\n");
-    EXPECT_THROW(arrivalProgramFromConfig(badShape, "svc"), FatalError);
-}
-
 } // namespace
 } // namespace accel::microsim

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the SLO-driven autoscaler: config parsing/validation, the
+ * Tests for the SLO-driven autoscaler: config validation, the
  * vote/hysteresis/cooldown control loop against a live tier, capacity
  * bounds, and the brown-out admission gate.
  */
@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "config/config.hh"
 #include "microsim/tier.hh"
 #include "util/logging.hh"
 
@@ -145,68 +144,6 @@ TEST(AutoscalerConfig, ValidateNamesOffendingField)
     cfg = controlCfg();
     cfg.scaleUpPressure = 0.0;
     expectNamed(cfg, "scaleUpPressure");
-}
-
-TEST(AutoscalerConfig, FromConfigDefaultsDisabled)
-{
-    Config cfg = Config::fromString("[svc]\ncores = 1\n");
-    AutoscalerConfig a = autoscalerFromConfig(cfg, "svc");
-    EXPECT_FALSE(a.enabled);
-    EXPECT_FALSE(a.brownout);
-}
-
-TEST(AutoscalerConfig, FromConfigParsesAllKeys)
-{
-    Config cfg = Config::fromString(
-        "[svc]\n"
-        "scale_interval = 2e6\n"
-        "scale_slo_p99 = 1.2e5\n"
-        "scale_up_pressure = 0.85\n"
-        "scale_down_pressure = 0.4\n"
-        "scale_up_windows = 2\n"
-        "scale_down_windows = 5\n"
-        "scale_cooldown = 4e6\n"
-        "scale_min_replicas = 2\n"
-        "scale_max_replicas = 8\n"
-        "scale_step = 2\n"
-        "scale_brownout_floor = 6\n"
-        "scale_brownout_tighten = 0.25\n"
-        "scale_brownout_relax = 3\n");
-    AutoscalerConfig a = autoscalerFromConfig(cfg, "svc");
-    EXPECT_TRUE(a.enabled);
-    EXPECT_DOUBLE_EQ(a.intervalCycles, 2e6);
-    EXPECT_DOUBLE_EQ(a.sloLatencyCycles, 1.2e5);
-    EXPECT_DOUBLE_EQ(a.scaleUpPressure, 0.85);
-    EXPECT_DOUBLE_EQ(a.scaleDownPressure, 0.4);
-    EXPECT_EQ(a.upWindows, 2u);
-    EXPECT_EQ(a.downWindows, 5u);
-    EXPECT_DOUBLE_EQ(a.cooldownCycles, 4e6);
-    EXPECT_EQ(a.minReplicas, 2u);
-    EXPECT_EQ(a.maxReplicas, 8u);
-    EXPECT_EQ(a.scaleStep, 2u);
-    EXPECT_TRUE(a.brownout);
-    EXPECT_EQ(a.brownoutFloor, 6u);
-    EXPECT_DOUBLE_EQ(a.brownoutTighten, 0.25);
-    EXPECT_DOUBLE_EQ(a.brownoutRelax, 3.0);
-}
-
-TEST(AutoscalerConfig, FromConfigRejectsNonCountValues)
-{
-    for (const char *line :
-         {"scale_step = -1", "scale_up_windows = 1.5",
-          "scale_min_replicas = nan", "scale_max_replicas = -4",
-          "scale_brownout_floor = 2.5"}) {
-        Config cfg =
-            Config::fromString(std::string("[svc]\n") + line + "\n");
-        EXPECT_THROW(autoscalerFromConfig(cfg, "svc"), FatalError)
-            << line;
-    }
-}
-
-TEST(AutoscalerConfig, FromConfigRequiresSloWithInterval)
-{
-    Config cfg = Config::fromString("[svc]\nscale_interval = 1e6\n");
-    EXPECT_THROW(autoscalerFromConfig(cfg, "svc"), FatalError);
 }
 
 TEST(Autoscaler, CtorRejectsOverProvisionedMax)

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "config/config.hh"
 #include "faults/edge_fault_plan.hh"
 #include "microsim/service_graph.hh"
 #include "microsim/service_spec.hh"
@@ -107,13 +106,8 @@ TEST(EdgeConfigValidate, AsyncEdgesTakeNoResilienceLayer)
 
 TEST(BudgetSplitNames, RoundTrip)
 {
-    EXPECT_EQ(budgetSplitFromString("even"), BudgetSplit::Even);
-    EXPECT_EQ(budgetSplitFromString("reserve_for_retry"),
-              BudgetSplit::ReserveForRetry);
     EXPECT_STREQ(toString(BudgetSplit::ReserveForRetry),
                  "reserve_for_retry");
-    EXPECT_THROW(budgetSplitFromString("fair"), FatalError);
-    EXPECT_THROW(budgetSplitFromString("weighted"), FatalError);
 }
 
 TEST(GraphResilience, TimeoutsFailCallsAndZombiesAreCounted)
@@ -437,149 +431,6 @@ TEST(GraphResilience, SameSeedReplaysBitIdenticallyUnderFaults)
     GraphMetrics a = build().run(0.02, 0.005);
     GraphMetrics b = build().run(0.02, 0.005);
     EXPECT_EQ(a.summaryJson(), b.summaryJson());
-}
-
-TEST(GraphConfig, RoundTripsAgainstHandBuiltGraph)
-{
-    Config cfg = Config::fromString(
-        "[graph]\n"
-        "services = web, leaf\n"
-        "seed = 41\n"
-        "root_deadline_cycles = 500e3\n"
-        "edge_0_caller = web\n"
-        "edge_0_callee = leaf\n"
-        "edge_0_latency = 5e3\n"
-        "edge_0_timeout = 50e3\n"
-        "edge_0_max_attempts = 3\n"
-        "edge_0_retry_budget_cap = 5\n"
-        "edge_0_retry_budget_ratio = 0.1\n"
-        "edge_0_budget_split = reserve_for_retry\n"
-        "edge_0_fault_seed = 33\n"
-        "edge_0_fault_drop_p = 0.3\n"
-        "edge_0_fault_spike_p = 0.2\n"
-        "edge_0_fault_spike_cycles = 100e3\n"
-        "edge_0_fault_spike_windows = 0:10000000\n"
-        "[web]\n"
-        "cores = 2\n"
-        "threads = 2\n"
-        "threading = sync\n"
-        "clock_ghz = 1.0\n"
-        "accelerated = no\n"
-        "open_arrivals_per_sec = 2000\n"
-        "work_non_kernel_cycles = 10e3\n"
-        "work_kernels_per_request = 0\n"
-        "seed = 41\n"
-        "[leaf]\n"
-        "cores = 2\n"
-        "threads = 2\n"
-        "threading = sync\n"
-        "clock_ghz = 1.0\n"
-        "accelerated = no\n"
-        "work_non_kernel_cycles = 20e3\n"
-        "work_kernels_per_request = 0\n"
-        "seed = 42\n");
-    ServiceGraph parsed = serviceGraphFromConfig(cfg);
-    EXPECT_TRUE(parsed.errors().empty());
-
-    ServiceGraph built(41);
-    built.addService(tier("web", 2000, 10e3, 41));
-    built.addService(tier("leaf", 0, 20e3, 42));
-    EdgeConfig e;
-    e.caller = "web";
-    e.callee = "leaf";
-    e.latencyCycles = 5e3;
-    e.rpcTimeoutCycles = 50e3;
-    e.maxAttempts = 3;
-    e.retryBudget.cap = 5;
-    e.retryBudget.ratio = 0.1;
-    e.budgetSplit = BudgetSplit::ReserveForRetry;
-    auto plan = std::make_shared<faults::EdgeFaultPlan>();
-    plan->seed = 33;
-    plan->dropProbability = 0.3;
-    plan->spikeProbability = 0.2;
-    plan->spikeLatencyCycles = 100e3;
-    plan->spikeWindows = {{0, 10'000'000}};
-    e.faultPlan = std::move(plan);
-    built.addEdge(e);
-    built.rootDeadline(500e3);
-
-    GraphMetrics from_config = parsed.run(0.02, 0.005);
-    GraphMetrics from_builder = built.run(0.02, 0.005);
-    EXPECT_EQ(from_config.summaryJson(), from_builder.summaryJson());
-}
-
-TEST(GraphConfig, RejectsUnknownKeysByName)
-{
-    Config cfg = Config::fromString(
-        "[graph]\n"
-        "services = web\n"
-        "edge_0_tmeout = 100\n" // typo of edge_0_timeout
-        "[web]\n"
-        "cores = 1\n"
-        "threads = 1\n"
-        "threading = sync\n"
-        "clock_ghz = 1.0\n"
-        "work_non_kernel_cycles = 1000\n");
-    try {
-        serviceGraphFromConfig(cfg);
-        FAIL() << "typoed edge key accepted";
-    } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find("edge_0_tmeout"),
-                  std::string::npos);
-    }
-}
-
-TEST(GraphConfig, RejectsNonContiguousEdgeNumbering)
-{
-    // edge_1_* without edge_0_*: the discovery loop stops at the gap
-    // and the leftover keys are rejected rather than silently dropped.
-    Config cfg = Config::fromString(
-        "[graph]\n"
-        "services = web\n"
-        "edge_1_caller = web\n"
-        "edge_1_callee = web\n"
-        "[web]\n"
-        "cores = 1\n"
-        "threads = 1\n"
-        "threading = sync\n"
-        "clock_ghz = 1.0\n"
-        "work_non_kernel_cycles = 1000\n");
-    try {
-        serviceGraphFromConfig(cfg);
-        FAIL() << "gap in edge numbering accepted";
-    } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find("edge_1_caller"),
-                  std::string::npos);
-    }
-}
-
-TEST(GraphConfig, RejectsMalformedWindowList)
-{
-    Config cfg = Config::fromString(
-        "[graph]\n"
-        "services = web, leaf\n"
-        "edge_0_caller = web\n"
-        "edge_0_callee = leaf\n"
-        "edge_0_fault_blackholes = 10:xyz\n"
-        "[web]\n"
-        "cores = 1\n"
-        "threads = 1\n"
-        "threading = sync\n"
-        "clock_ghz = 1.0\n"
-        "work_non_kernel_cycles = 1000\n"
-        "[leaf]\n"
-        "cores = 1\n"
-        "threads = 1\n"
-        "threading = sync\n"
-        "clock_ghz = 1.0\n"
-        "work_non_kernel_cycles = 1000\n");
-    try {
-        serviceGraphFromConfig(cfg);
-        FAIL() << "malformed window list accepted";
-    } catch (const FatalError &err) {
-        EXPECT_NE(std::string(err.what()).find("edge_0_fault_blackholes"),
-                  std::string::npos);
-    }
 }
 
 } // namespace

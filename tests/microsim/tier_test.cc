@@ -3,7 +3,7 @@
  * Tests for the replicated remote-accelerator tier: trivial-tier
  * bit-compatibility, per-replica fault-plan independence, hedge-race
  * settlement, the ejection/readmission state machine, dispatch
- * policies, and config parsing/validation.
+ * policies, and config validation.
  */
 
 #include "microsim/tier.hh"
@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "config/config.hh"
 #include "faults/fault_plan.hh"
 #include "microsim/service_sim.hh"
 #include "microsim/service_spec.hh"
@@ -431,7 +430,6 @@ TEST(AcceleratorTier, ValidationNamesTheField)
             t.validate();
         },
         "readmitAfterCycles");
-    EXPECT_THROW(dispatchPolicyFromString("fastest"), FatalError);
 }
 
 TEST(AcceleratorTier, HedgedSyncDesignRejected)
@@ -473,65 +471,6 @@ TEST(AcceleratorTier, HedgedSyncDesignRejected)
     spec.service().design = model::ThreadingDesign::AsyncSameThread;
     EXPECT_TRUE(spec.errors().empty());
     EXPECT_NO_THROW(ServiceSim{spec});
-}
-
-TEST(AcceleratorTier, TierFromConfigRoundTrip)
-{
-    Config cfg = Config::fromString(
-        "[svc]\n"
-        "tier_replicas = 4\n"
-        "tier_policy = p2c\n"
-        "tier_hedge_delay = 5500\n"
-        "tier_health_timeout = 20000\n"
-        "tier_eject_after = 2\n"
-        "tier_readmit_after = 2e6\n"
-        "tier_max_failovers = 1\n"
-        "tier_seed = 9\n"
-        "fault_r2_drop_p = 0.5\n"
-        "fault_r2_seed = 13\n");
-    TierConfig t = tierFromConfig(cfg, "svc");
-    EXPECT_EQ(t.replicas, 4u);
-    EXPECT_EQ(t.policy, DispatchPolicy::PowerOfTwoChoices);
-    EXPECT_TRUE(t.hedge.enabled);
-    EXPECT_DOUBLE_EQ(t.hedge.delayCycles, 5500);
-    EXPECT_DOUBLE_EQ(t.healthTimeoutCycles, 20000);
-    EXPECT_EQ(t.ejectAfterFailures, 2u);
-    EXPECT_DOUBLE_EQ(t.readmitAfterCycles, 2e6);
-    EXPECT_EQ(t.maxFailovers, 1u);
-    EXPECT_EQ(t.seed, 9u);
-    ASSERT_EQ(t.replicaFaultPlans.size(), 4u);
-    EXPECT_EQ(t.replicaFaultPlans[0], nullptr);
-    EXPECT_EQ(t.replicaFaultPlans[1], nullptr);
-    ASSERT_NE(t.replicaFaultPlans[2], nullptr);
-    EXPECT_DOUBLE_EQ(t.replicaFaultPlans[2]->dropProbability, 0.5);
-    EXPECT_EQ(t.replicaFaultPlans[2]->seed, 13u);
-    EXPECT_EQ(t.replicaFaultPlans[3], nullptr);
-}
-
-TEST(AcceleratorTier, TierFromConfigDefaultsToTrivial)
-{
-    Config cfg = Config::fromString("[svc]\nC = 1e9\n");
-    TierConfig t = tierFromConfig(cfg, "svc");
-    EXPECT_TRUE(t.trivial());
-    EXPECT_TRUE(t.replicaFaultPlans.empty());
-    EXPECT_THROW(
-        tierFromConfig(
-            Config::fromString("[s]\ntier_policy = fastest\n"), "s"),
-        FatalError);
-}
-
-TEST(AcceleratorTier, TierFromConfigRejectsNonCountValues)
-{
-    // Integer keys parse as counts: a fractional, negative or nan
-    // value is an error, never a silently truncated count.
-    for (const char *line :
-         {"tier_replicas = 2.5", "tier_replicas = -2",
-          "tier_eject_after = nan", "tier_max_failovers = 1.5",
-          "tier_seed = -1"}) {
-        Config cfg =
-            Config::fromString(std::string("[svc]\n") + line + "\n");
-        EXPECT_THROW(tierFromConfig(cfg, "svc"), FatalError) << line;
-    }
 }
 
 // --------------------------------------------------------------------

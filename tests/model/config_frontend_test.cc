@@ -137,93 +137,6 @@ TEST(ConfigFrontend, PlannerModeBytesWeighting)
     EXPECT_GT(p.offloadedFraction, 0.99);
 }
 
-TEST(ConfigFrontend, FaultPlanAbsentWithoutFaultKeys)
-{
-    Config cfg = Config::fromString(kAesConfig);
-    EXPECT_EQ(faultPlanFromConfig(cfg, "aes-ni"), nullptr);
-}
-
-TEST(ConfigFrontend, FaultPlanParsesAllKeys)
-{
-    Config cfg = Config::fromString(
-        "[x]\n"
-        "fault_seed = 42\n"
-        "fault_drop_p = 0.05\n"
-        "fault_late_p = 0.1\n"
-        "fault_late_cycles = 2500\n"
-        "fault_spike_p = 0.2\n"
-        "fault_spike_factor = 8\n"
-        "fault_stalls = 1e6:2e6, 5e6:6e6\n"
-        "fault_fail_at = 3e6\n"
-        "fault_recover_at = 4e6\n");
-    auto plan = faultPlanFromConfig(cfg, "x");
-    ASSERT_NE(plan, nullptr);
-    EXPECT_TRUE(plan->active());
-    EXPECT_EQ(plan->seed, 42u);
-    EXPECT_DOUBLE_EQ(plan->dropProbability, 0.05);
-    EXPECT_DOUBLE_EQ(plan->lateProbability, 0.1);
-    EXPECT_DOUBLE_EQ(plan->lateDelayCycles, 2500);
-    EXPECT_DOUBLE_EQ(plan->transferSpikeProbability, 0.2);
-    EXPECT_DOUBLE_EQ(plan->transferSpikeFactor, 8);
-    ASSERT_EQ(plan->stallWindows.size(), 2u);
-    EXPECT_EQ(plan->stallWindows[0].begin, 1000000);
-    EXPECT_EQ(plan->stallWindows[0].end, 2000000);
-    EXPECT_EQ(plan->stallWindows[1].begin, 5000000);
-    EXPECT_EQ(plan->stallWindows[1].end, 6000000);
-    EXPECT_EQ(plan->deviceFailAtTick, 3000000);
-    EXPECT_EQ(plan->deviceRecoverAtTick, 4000000);
-}
-
-TEST(ConfigFrontend, FaultPlanSingleKeyActivates)
-{
-    Config cfg = Config::fromString("[x]\nfault_drop_p = 0.5\n");
-    auto plan = faultPlanFromConfig(cfg, "x");
-    ASSERT_NE(plan, nullptr);
-    EXPECT_TRUE(plan->active());
-    EXPECT_DOUBLE_EQ(plan->dropProbability, 0.5);
-    EXPECT_TRUE(plan->stallWindows.empty());
-}
-
-TEST(ConfigFrontend, FaultPlanRejectsMalformedStalls)
-{
-    Config bad1 = Config::fromString("[x]\nfault_stalls = 1e6\n");
-    EXPECT_THROW(faultPlanFromConfig(bad1, "x"), FatalError);
-    Config bad2 =
-        Config::fromString("[x]\nfault_stalls = 1:2:3\n");
-    EXPECT_THROW(faultPlanFromConfig(bad2, "x"), FatalError);
-    Config bad3 = Config::fromString("[x]\nfault_stalls = ,\n");
-    EXPECT_THROW(faultPlanFromConfig(bad3, "x"), FatalError);
-}
-
-TEST(ConfigFrontend, FaultPlanRejectsNonCountTicks)
-{
-    // Ticks and seeds parse as counts, with the edge window rules: no
-    // negative, fractional or nan ends, and no empty list entries.
-    for (const char *line :
-         {"fault_stalls = -5:10", "fault_stalls = 5:10.5",
-          "fault_stalls = 1:2,", "fault_fail_at = -1",
-          "fault_recover_at = nan", "fault_seed = 2.5"}) {
-        Config cfg =
-            Config::fromString(std::string("[x]\n") + line + "\n");
-        EXPECT_THROW(faultPlanFromConfig(cfg, "x"), FatalError) << line;
-    }
-}
-
-TEST(ConfigFrontend, FaultPlanValidationPropagates)
-{
-    // Out-of-domain probability is rejected by FaultPlan::validate.
-    Config bad = Config::fromString("[x]\nfault_drop_p = 1.5\n");
-    EXPECT_THROW(faultPlanFromConfig(bad, "x"), FatalError);
-    // Late delay without late probability is degenerate the other way:
-    // lateProbability > 0 requires a positive delay.
-    Config bad2 = Config::fromString("[x]\nfault_late_p = 0.1\n");
-    EXPECT_THROW(faultPlanFromConfig(bad2, "x"), FatalError);
-    // Recovery before failure is inconsistent.
-    Config bad3 = Config::fromString(
-        "[x]\nfault_fail_at = 5e6\nfault_recover_at = 1e6\n");
-    EXPECT_THROW(faultPlanFromConfig(bad3, "x"), FatalError);
-}
-
 TEST(ConfigFrontend, PlannerModeRejectsAmbiguity)
 {
     Config cfg = Config::fromString(
@@ -234,6 +147,63 @@ TEST(ConfigFrontend, PlannerModeRejectsAmbiguity)
         "[x]\nC=1e9\nalpha=0.1\ncb=2\nn_total=10\n"
         "weighting = sideways\ngranularity_cdf = 0:64:1\n");
     EXPECT_THROW(paramsFromConfig(bad, "x"), FatalError);
+}
+
+TEST(ConfigFrontend, RejectsUnknownKeysByName)
+{
+    // Table 7's off-chip Sync row with offloaded_fraction misspelt.
+    // Read silently, the typo keeps the default fraction of 1 and the
+    // row projects +15.58 % instead of +9.06 %.
+    Config cfg = Config::fromString(
+        "[compression-off-chip-sync]\n"
+        "C = 2.3e9\n"
+        "alpha = 0.15\n"
+        "n = 9629\n"
+        "L = 2300\n"
+        "A = 27\n"
+        "offload_fraction = 0.6416\n"
+        "strategy = off-chip\n"
+        "threading = sync\n"
+        "cores = 4\n");
+    try {
+        casesFromConfig(cfg);
+        FAIL() << "typoed key accepted";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("[compression-off-chip-sync]"),
+                  std::string::npos) << msg;
+        EXPECT_NE(msg.find("'offload_fraction'"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("'cores'"), std::string::npos) << msg;
+    }
+}
+
+TEST(ConfigFrontend, ShippedConfigsReproduceThePaper)
+{
+    const std::string dir = ACCEL_CONFIGS_DIR;
+
+    // Table 6: the three retrospective case studies.
+    auto cases = casesFromConfig(Config::fromFile(dir + "/table6.ini"));
+    ASSERT_EQ(cases.size(), 3u);
+    const ThreadingDesign designs[] = {ThreadingDesign::Sync,
+                                       ThreadingDesign::AsyncNoResponse,
+                                       ThreadingDesign::AsyncDistinctThread};
+    const double speedups[] = {0.1578, 0.0864, 0.7240};
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        EXPECT_EQ(cases[i].design, designs[i]) << cases[i].name;
+        double got = Accelerometer(cases[i].params)
+                         .speedup(cases[i].design) - 1.0;
+        EXPECT_NEAR(got, speedups[i], 5e-5) << cases[i].name;
+    }
+
+    // Table 7: every row parses with no unknown key; the off-chip
+    // Sync row carries its offloaded fraction.
+    cases = casesFromConfig(Config::fromFile(dir + "/table7.ini"));
+    ASSERT_EQ(cases.size(), 6u);
+    EXPECT_EQ(cases[1].name, "compression-off-chip-sync");
+    EXPECT_NEAR(Accelerometer(cases[1].params)
+                        .speedup(cases[1].design) - 1.0,
+                0.0906, 5e-5);
 }
 
 } // namespace

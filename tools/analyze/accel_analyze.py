@@ -1445,8 +1445,8 @@ def collect_validate_bodies(ctxs):
 def collect_parse_bodies(ctxs, struct_names):
     """StructName -> concatenated bodies of its FromConfig parser(s).
     A parser is associated by return type mention in the declaration
-    head (e.g. `TierConfig tierFromConfig(` or
-    `std::shared_ptr<const faults::FaultPlan> faultPlanFromConfig(`)."""
+    head (e.g. `Params paramsFromConfig(` or
+    `std::shared_ptr<const Plan> planFromConfig(`)."""
     bodies = {}
     for ctx in ctxs:
         for f in ctx.functions:
