@@ -1,8 +1,9 @@
 /**
  * @file
- * Sim-core hot-path throughput gate: timer-wheel + InlineCallback
- * EventQueue vs the pre-change queue (sim::ReferenceEventQueue,
- * std::function + pure binary heap), on two workloads:
+ * Sim-core hot-path throughput gate: EventQueue (one heap of 24-byte
+ * keys over a slab of InlineCallbacks) vs the pre-change queue
+ * (sim::ReferenceEventQueue, std::function events in one binary heap),
+ * on two workloads:
  *
  *  - steady: many self-rescheduling event chains whose callbacks
  *    capture a shared_ptr plus payload — the capture shape microsim
@@ -11,8 +12,8 @@
  *  - hedging: the timer-heavy shape from the accelerator tiers — every
  *    operation schedules a completion, a hedge timer, and a watchdog,
  *    and the completion cancels the timers (most timers die
- *    unfired). A slice of watchdogs lands past the wheel horizon to
- *    exercise the overflow heap.
+ *    unfired). A slice of watchdogs lands far in the future, so
+ *    cancelled keys pile up until compaction reclaims them.
  *
  * Heap traffic is measured with a global operator-new counting hook
  * (this binary only). Both queues run identical op sequences and must
@@ -233,17 +234,19 @@ runSteadyRound(Queue &q, std::uint64_t seed)
 // completion event plus three timers — a hedge, a retry, and a
 // watchdog, the pattern a hedged offload with degraded-mode retry
 // arms in the microsim — and the completion cancels whatever is still
-// pending. Every 16th watchdog is scheduled past the wheel horizon to
-// keep the overflow heap hot.
+// pending. Every 16th watchdog is armed kFarWatchdogDelay out, far
+// past every other event, as a long deadline would be.
 // ------------------------------------------------------------------
 
 // Concurrency matters more than chain length here: with thousands of
 // ops in flight (the hedged-offload regime the paper's services run
-// at), the reference heap holds ~3 events per chain, so every push,
-// pop, and compaction sweep pays O(log n) / O(n) over a multi-thousand
-// element heap while the wheel stays O(1) per op.
+// at), each queue holds ~3 events per chain, so every push, pop, and
+// compaction sweep pays O(log n) / O(n) over a multi-thousand element
+// heap. The reference moves whole std::function events through it;
+// EventQueue moves only keys.
 constexpr unsigned kOpChains = 2048;
 constexpr std::uint64_t kOpsPerChain = 120; // ops per chain/round
+constexpr std::uint64_t kFarWatchdogDelay = 65536 + 50000;
 
 struct HedgeShared
 {
@@ -311,7 +314,7 @@ issueOp(Queue &q, HedgeShared *shared, std::uint32_t chain,
     const std::uint64_t service = 200 + shared->rng.next() % 4600;
     const bool farWatchdog = (shared->rng.next() & 15u) == 0;
     const std::uint64_t watchdogDelay =
-        farWatchdog ? sim::EventQueue::kWheelHorizon + 50000 : 20000;
+        farWatchdog ? kFarWatchdogDelay : 20000;
     sim::TimerId hedge = q.scheduleTimerIn(
         3000, HedgeFire<Queue>{&q, shared, chain});
     // The retry always loses to the completion (service < 8000), so
@@ -390,7 +393,7 @@ struct WorkloadReport
 /**
  * Run warmup + measured rounds of @p round on a fresh instance of each
  * queue type. The measured round reuses the warmed queue instance so
- * pool chunks, wheel slots, and heap capacity reflect steady state.
+ * pool chunks, callback slots, and heap capacity reflect steady state.
  * Timing takes the best of kTimedRounds to shed scheduler noise.
  */
 template <typename RoundFn>
@@ -452,7 +455,7 @@ printWorkload(const char *name, const WorkloadReport &w)
                       eps.str(), ape.str()});
     };
     std::cout << "--- " << name << " ---\n";
-    row("wheel+inline", w.fresh, w.allocsPerEvent());
+    row("keyheap+inline", w.fresh, w.allocsPerEvent());
     row("reference", w.baseline, w.baselineAllocsPerEvent());
     std::cout << table.str();
     std::cout.precision(2);

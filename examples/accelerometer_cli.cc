@@ -4,72 +4,24 @@
  * file and print the estimated speedup for each section.
  *
  * Usage: accelerometer_cli <config.ini>
- *        accelerometer_cli            (runs the bundled Table 6 config)
+ *        accelerometer_cli            (runs the shipped configs/table6.ini)
  */
 
 #include <iostream>
 
 #include "model/config_frontend.hh"
-#include "model/report.hh"
 #include "util/logging.hh"
-
-namespace {
-
-/** Bundled config reproducing the paper's Table 6 parameter sets. */
-const char *kTable6Config = R"(
-[aes-ni-cache1]
-C = 2.0e9
-alpha = 0.165844
-n = 298951
-o0 = 10
-Q = 0
-L = 3
-A = 6
-strategy = on-chip
-threading = sync
-
-[encryption-cache3]
-C = 2.3e9
-alpha = 0.19154
-n = 101863
-o0 = 0
-Q = 0
-L = 2530
-A = 27
-strategy = off-chip
-threading = async-no-response
-
-[inference-ads1]
-C = 2.5e9
-alpha = 0.52
-n = 10
-o0 = 25e6
-o1 = 12500
-A = 1
-strategy = remote
-threading = async-distinct-thread
-)";
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     try {
-        if (argc > 1) {
-            std::cout << accel::model::runConfigFile(argv[1]);
-            return 0;
+        if (argc <= 1) {
+            std::cout << "(no config given; using the bundled Table 6 "
+                         "parameters)\n\n";
         }
-        std::cout << "(no config given; using the bundled Table 6 "
-                     "parameters)\n\n";
-        accel::Config cfg = accel::Config::fromString(kTable6Config);
-        for (const auto &c : accel::model::casesFromConfig(cfg)) {
-            std::cout << accel::model::projectionReport(c.params,
-                                                        "== " + c.name +
-                                                            " ==")
-                      << accel::model::projectionLine(c.params, c.design)
-                      << "\n\n";
-        }
+        std::cout << accel::model::runConfigFile(
+            argc > 1 ? argv[1] : ACCEL_TABLE6_CONFIG);
         return 0;
     } catch (const accel::FatalError &e) {
         std::cerr << e.what() << "\n";

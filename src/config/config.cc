@@ -128,34 +128,6 @@ Config::getDouble(const std::string &section, const std::string &key,
     return v ? parseDouble(*v) : fallback;
 }
 
-std::uint64_t
-Config::getCount(const std::string &section, const std::string &key) const
-{
-    return parseCount(getString(section, key));
-}
-
-std::uint64_t
-Config::getCount(const std::string &section, const std::string &key,
-                 std::uint64_t fallback) const
-{
-    auto v = get(section, key);
-    return v ? parseCount(*v) : fallback;
-}
-
-bool
-Config::getBool(const std::string &section, const std::string &key) const
-{
-    return parseBool(getString(section, key));
-}
-
-bool
-Config::getBool(const std::string &section, const std::string &key,
-                bool fallback) const
-{
-    auto v = get(section, key);
-    return v ? parseBool(*v) : fallback;
-}
-
 std::vector<std::string>
 Config::sections() const
 {

@@ -16,7 +16,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -62,21 +61,6 @@ class Config
     /** Double with default. */
     double getDouble(const std::string &section, const std::string &key,
                      double fallback) const;
-
-    /** Required count (non-negative integer, sci notation OK). */
-    std::uint64_t getCount(const std::string &section,
-                           const std::string &key) const;
-
-    /** Count with default. */
-    std::uint64_t getCount(const std::string &section, const std::string &key,
-                           std::uint64_t fallback) const;
-
-    /** Required boolean. */
-    bool getBool(const std::string &section, const std::string &key) const;
-
-    /** Boolean with default. */
-    bool getBool(const std::string &section, const std::string &key,
-                 bool fallback) const;
 
     /** All section names in insertion order (the global "" first if used). */
     std::vector<std::string> sections() const;

@@ -95,7 +95,7 @@ struct ServiceMetrics
     /** Core cycles spent on offload dispatch overhead (o0, L-hold). */
     double dispatchOverheadCycles = 0.0;
 
-    /** Core cycles spent context switching (o1 and cache pollution). */
+    /** Core cycles spent context switching (o1, pollution included). */
     double switchOverheadCycles = 0.0;
 
     std::uint64_t offloadsIssued = 0;

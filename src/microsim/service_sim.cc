@@ -21,8 +21,6 @@ ServiceConfig::validate() const
     requireCycles(offloadSetupCycles, "ServiceConfig.offloadSetupCycles");
     requireCycles(contextSwitchCycles,
                   "ServiceConfig.contextSwitchCycles");
-    requireCycles(cachePollutionCycles,
-                  "ServiceConfig.cachePollutionCycles");
     requireCycles(responsePickupCycles,
                   "ServiceConfig.responsePickupCycles");
     requireCycles(unmodeledPerOffloadCycles,
@@ -256,8 +254,8 @@ ServiceSim::dispatch()
 
         sim::InlineCallback resume = std::move(resume_[tid]);
         ensure(static_cast<bool>(resume), "dispatch: missing continuation");
-        double switch_in = ctx.needsSwitchIn
-            ? cfg_.contextSwitchCycles + cfg_.cachePollutionCycles : 0.0;
+        double switch_in =
+            ctx.needsSwitchIn ? cfg_.contextSwitchCycles : 0.0;
         ctx.needsSwitchIn = false;
         if (switch_in > 0) {
             metrics_.switchOverheadCycles += switch_in;
@@ -628,10 +626,8 @@ ServiceSim::onAsyncResponse(size_t tid,
         ensure(ctx.outstanding > 0, "onAsyncResponse: outstanding = 0");
         --ctx.outstanding;
         double stolen = cfg_.responsePickupCycles;
-        if (cfg_.design == ThreadingDesign::AsyncDistinctThread) {
-            stolen += cfg_.contextSwitchCycles +
-                      cfg_.cachePollutionCycles;
-        }
+        if (cfg_.design == ThreadingDesign::AsyncDistinctThread)
+            stolen += cfg_.contextSwitchCycles;
         pendingStolenCycles_ += stolen;
     }
 

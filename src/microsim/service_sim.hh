@@ -19,10 +19,10 @@
  *  - Async no-response: the host never consumes the response.
  *
  * The simulator deliberately includes effects the analytical model
- * abstracts away — emergent accelerator queuing, switch-in cache
- * pollution, response pickup work, per-offload driver slop, and
- * bounded-outstanding backpressure — so A/B comparisons against it play
- * the role of the paper's production measurements.
+ * abstracts away — emergent accelerator queuing, response pickup work,
+ * per-offload driver slop, and bounded-outstanding backpressure — so
+ * A/B comparisons against it play the role of the paper's production
+ * measurements.
  */
 
 #pragma once
@@ -58,8 +58,6 @@ struct ServiceConfig
 
     double offloadSetupCycles = 0.0;   //!< o0 charged on the core
     double contextSwitchCycles = 0.0;  //!< o1 per switch
-    /** Unmodeled extra cycles after a switch (cache pollution). */
-    double cachePollutionCycles = 0.0;
     /** Unmodeled response pickup work per async response. */
     double responsePickupCycles = 0.0;
     /** Unmodeled driver slop per offload. */

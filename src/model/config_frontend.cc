@@ -1,6 +1,7 @@
 #include "model/config_frontend.hh"
 
 #include <sstream>
+#include <string>
 
 #include "model/granularity.hh"
 #include "model/report.hh"
@@ -40,15 +41,17 @@ paramsFromConfig(const Config &cfg, const std::string &section)
     p.interfaceCycles = cfg.getDouble(section, "L", 0.0);
     p.threadSwitchCycles = cfg.getDouble(section, "o1", 0.0);
     p.accelFactor = cfg.getDouble(section, "A", 1.0);
-    p.offloadedFraction = cfg.getDouble(section, "offloaded_fraction", 1.0);
     p.strategy =
         strategyFromString(cfg.getString(section, "strategy", "off-chip"));
 
     if (cfg.has(section, "granularity_cdf")) {
         // Planner mode: derive n and the offloaded fraction from the
         // kernel's size distribution and per-byte cost.
-        require(!cfg.has(section, "n"),
-                "config: give either n or a granularity_cdf, not both");
+        for (const char *derived : {"n", "offloaded_fraction"}) {
+            require(!cfg.has(section, derived),
+                    std::string("config: give either ") + derived +
+                        " or a granularity_cdf, not both");
+        }
         BucketDist sizes = granularityFromConfig(
             cfg.getString(section, "granularity_cdf"));
         OffloadProfit profit{cfg.getDouble(section, "cb"),
@@ -66,6 +69,8 @@ paramsFromConfig(const Config &cfg, const std::string &section)
         p = applyPlan(p, p.alpha, plan);
     } else {
         p.offloads = cfg.getDouble(section, "n");
+        p.offloadedFraction =
+            cfg.getDouble(section, "offloaded_fraction", 1.0);
     }
     p.validate();
     return p;

@@ -63,7 +63,8 @@ struct ConfigCase
  * is derived and its n / offloaded_fraction land in the result;
  * otherwise `n` is required.
  *
- * @throws FatalError when required keys are missing or out of domain.
+ * @throws FatalError when required keys are missing or out of domain,
+ *         or when a planner section also gives n or offloaded_fraction.
  */
 Params paramsFromConfig(const Config &cfg, const std::string &section);
 

@@ -2,23 +2,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <string>
 #include <utility>
 
 #include "util/logging.hh"
 
 namespace accel::sim {
-
-namespace {
-
-constexpr std::uint64_t
-quotientOf(Tick when)
-{
-    return when / EventQueue::kSlotWidth;
-}
-
-} // namespace
 
 Tick
 EventQueue::deadlineFromNow(Tick delay, const char *who) const
@@ -39,52 +28,29 @@ EventQueue::deadlineFromNow(Tick delay, const char *who) const
     return now_ + delay;
 }
 
-EventQueue::Placement
+std::uint64_t
 EventQueue::scheduleEvent(Tick when, Callback &&cb, int priority,
                           bool isTimer)
 {
     require(when >= now_, "EventQueue: scheduling into the past");
     ensure(static_cast<bool>(cb), "EventQueue: empty callback");
-    std::uint64_t seq = sequence_++;
-    const std::uint64_t quotient = quotientOf(when);
-    if (quotient - quotientOf(now_) < kWheelSlots) {
-        // Near future: O(1) insert into the wheel slot. The slot is
-        // kept unsorted until the cursor reaches it, except for the
-        // one slot currently being drained, which must stay sorted.
-        std::vector<Event> &slot = wheel_[quotient % kWheelSlots];
-        slot.emplace_back(when, priority, isTimer, seq, std::move(cb));
-        if (quotient == sortedSlotQuotient_) {
-            // The slot is mid-drain: record the new event's index at
-            // its sorted position in drainOrder_. A new event has the
-            // maximal sequence number, so among equal (when, priority)
-            // keys it is Later{} than anything queued; binary-search
-            // the descending order for the first queued event the new
-            // one is later than.
-            auto laterThanQueued = [&](std::uint32_t,
-                                       std::uint32_t queuedIdx) {
-                const Event &queued = slot[queuedIdx];
-                if (when != queued.when)
-                    return when > queued.when;
-                if (priority != queued.priority)
-                    return priority > queued.priority;
-                return true; // maximal sequence wins the tie
-            };
-            auto pos = std::upper_bound(drainOrder_.begin(),
-                                        drainOrder_.end(),
-                                        std::uint32_t{0},
-                                        laterThanQueued);
-            drainOrder_.insert(
-                pos, static_cast<std::uint32_t>(slot.size() - 1));
-        }
-        ++wheelCount_;
-        if (quotient < cursorQuotient_)
-            cursorQuotient_ = quotient;
-        return {seq, /*inHeap=*/false};
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        // The top bit of Key::slot is the timer tag.
+        require(callbacks_.size() < kTimerBit,
+                "EventQueue: too many pending events");
+        slot = static_cast<std::uint32_t>(callbacks_.size());
+        callbacks_.push_back(std::move(cb));
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        callbacks_[slot] = std::move(cb);
     }
-    // Far future: overflow heap, exactly as before the wheel.
-    heap_.emplace_back(when, priority, isTimer, seq, std::move(cb));
+    const std::uint64_t seq = sequence_++;
+    heap_.push_back(Key{when, seq, priority, isTimer ? slot | kTimerBit
+                                                     : slot});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
-    return {seq, /*inHeap=*/true};
+    return seq;
 }
 
 void
@@ -104,12 +70,10 @@ EventQueue::scheduleIn(Tick delay, Callback &&cb, int priority)
 TimerId
 EventQueue::scheduleTimer(Tick when, Callback &&cb, int priority)
 {
-    Placement placed =
+    const std::uint64_t seq =
         scheduleEvent(when, std::move(cb), priority, /*isTimer=*/true);
-    liveTimers_.insert(placed.sequence);
-    if (placed.inHeap)
-        heapTimers_.insert(placed.sequence);
-    return placed.sequence;
+    liveTimers_.insert(seq);
+    return seq;
 }
 
 TimerId
@@ -125,199 +89,71 @@ EventQueue::cancelTimer(TimerId id)
 {
     if (liveTimers_.erase(id) == 0)
         return false;
-    // The queued Event stays in place; leaving liveTimers_ is what
-    // marks it cancelled (its isTimer tag makes the pop path check).
+    // The queued key stays in place; leaving liveTimers_ is what marks
+    // it cancelled (its timer bit makes the pop path check).
     ++cancelledQueued_;
-    // Only heap residents need compaction: a cancelled wheel slot
-    // self-drains within one rotation (the wheel horizon), but a
-    // cancelled heap slot would persist until its (arbitrarily far)
-    // tick.
-    if (!heapTimers_.empty() && heapTimers_.erase(id) > 0) {
-        ++heapCancelled_;
-        maybeCompact();
-    }
+    maybeCompact();
     return true;
 }
 
 void
 EventQueue::maybeCompact()
 {
-    // A cancelled timer's heap slot otherwise persists until its tick
+    // A cancelled timer's key otherwise persists until its tick
     // drains. Workloads that arm a long timer per operation and cancel
     // almost all of them early — hedged offloads and per-attempt
     // watchdogs are the motivating case — would grow the heap with the
     // number of timers ever cancelled, not the number outstanding.
-    // Once cancelled slots dominate the heap, rebuild it without them:
+    // Once cancelled keys dominate the heap, rebuild it without them:
     // amortized O(1) per cancellation, and results cannot change
     // because pop order is the total (when, priority, sequence) order,
-    // independent of heap layout. Wheel slots are never swept — their
-    // cancelled entries drain with their slot inside one rotation.
-    if (heapCancelled_ < kCompactMinCancelled ||
-        heapCancelled_ * 2 < heap_.size()) {
+    // independent of heap layout.
+    if (cancelledQueued_ < kCompactMinCancelled ||
+        cancelledQueued_ * 2 < heap_.size()) {
         return;
     }
-    // Every isTimer event still in the heap is either live (its
-    // sequence is in liveTimers_) or cancelled; drop the cancelled
-    // ones.
-    auto dead = [this](const Event &ev) {
-        return ev.isTimer && !liveTimers_.contains(ev.sequence);
-    };
-    auto tail = std::remove_if(heap_.begin(), heap_.end(), dead);
-    cancelledQueued_ -= static_cast<size_t>(heap_.end() - tail);
-    heap_.erase(tail, heap_.end());
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-    heapCancelled_ = 0;
-    ++compactions_;
-}
-
-EventQueue::Event
-EventQueue::popEvent()
-{
-    // pop_heap moves the earliest event to the back; moving it out
-    // transfers the callback's state instead of copying it.
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event ev = std::move(heap_.back());
-    heap_.pop_back();
-    return ev;
-}
-
-EventQueue::Event *
-EventQueue::wheelFront()
-{
-    if (wheelCount_ == 0)
-        return nullptr;
-    // Fast path: the slot being drained is still the front (inserts
-    // below it would have pulled cursorQuotient_ back and cleared the
-    // match), so its next event is one load away.
-    if (sortedSlotQuotient_ == cursorQuotient_ && !drainOrder_.empty())
-        return &wheel_[cursorQuotient_ % kWheelSlots]
-                      [drainOrder_.back()];
-    // Every wheel event e satisfies quotient(now) <= quotient(e.when)
-    // < quotient(now) + kWheelSlots, and no event lies below the
-    // cursor (inserts pull it back, and the clock never passes a
-    // pending event), so scanning one rotation from the cursor must
-    // find a non-empty slot.
-    std::uint64_t quotient =
-        std::max(cursorQuotient_, quotientOf(now_));
-    for (size_t scanned = 0; scanned < kWheelSlots;
-         ++scanned, ++quotient) {
-        std::vector<Event> &slot = wheel_[quotient % kWheelSlots];
-        if (slot.empty())
-            continue;
-        cursorQuotient_ = quotient;
-        if (sortedSlotQuotient_ != quotient) {
-            compactSortedSlot();
-            // Bulk-drop timers cancelled before the cursor got here
-            // (in a hedged workload that is most of the slot): they
-            // must not pay sort compares or one drain iteration each.
-            if (cancelledQueued_ != 0) {
-                auto dead = [this](const Event &ev) {
-                    return ev.isTimer &&
-                           !liveTimers_.contains(ev.sequence);
-                };
-                auto tail =
-                    std::remove_if(slot.begin(), slot.end(), dead);
-                const size_t dropped =
-                    static_cast<size_t>(slot.end() - tail);
-                slot.erase(tail, slot.end());
-                wheelCount_ -= dropped;
-                cancelledQueued_ -= dropped;
-                if (slot.empty()) {
-                    if (wheelCount_ == 0)
-                        return nullptr; // sweep drained the wheel
-                    continue;
-                }
-            }
-            // Lazy sort on first touch. Sorting 4-byte indices into
-            // the slot instead of the 96-byte events themselves keeps
-            // the events in place; descending under Later, so back()
-            // names the earliest and pops are O(1).
-            drainOrder_.resize(slot.size());
-            std::iota(drainOrder_.begin(), drainOrder_.end(), 0u);
-            std::sort(drainOrder_.begin(), drainOrder_.end(),
-                      [&slot](std::uint32_t a, std::uint32_t b) {
-                          return Later{}(slot[a], slot[b]);
-                      });
-            sortedSlotQuotient_ = quotient;
+    size_t kept = 0;
+    for (const Key &key : heap_) {
+        if ((key.slot & kTimerBit) != 0 &&
+            !liveTimers_.contains(key.sequence)) {
+            const std::uint32_t slot = key.slot & ~kTimerBit;
+            callbacks_[slot] = nullptr;
+            freeSlots_.push_back(slot);
+        } else {
+            heap_[kept++] = key;
         }
-        return &slot[drainOrder_.back()];
     }
-    panic("EventQueue: wheel population out of sync");
-}
-
-EventQueue::Event
-EventQueue::popWheel()
-{
-    std::vector<Event> &slot = wheel_[cursorQuotient_ % kWheelSlots];
-    Event ev = std::move(slot[drainOrder_.back()]);
-    drainOrder_.pop_back();
-    if (drainOrder_.empty()) {
-        // Fully drained (anything still in the vector is a moved-from
-        // hole): reset the slot for its next rotation.
-        slot.clear();
-        sortedSlotQuotient_ = kNoSortedSlot;
-    }
-    --wheelCount_;
-    return ev;
-}
-
-void
-EventQueue::compactSortedSlot()
-{
-    if (sortedSlotQuotient_ == kNoSortedSlot)
-        return;
-    // The previously draining slot still holds live events interleaved
-    // with moved-from holes; keep just the live ones (in any order —
-    // it is about to be an unsorted slot again).
-    std::vector<Event> &old = wheel_[sortedSlotQuotient_ % kWheelSlots];
-    scratch_.clear();
-    for (std::uint32_t idx : drainOrder_)
-        scratch_.push_back(std::move(old[idx]));
-    old.swap(scratch_);
-    scratch_.clear();
-    drainOrder_.clear();
-    sortedSlotQuotient_ = kNoSortedSlot;
+    heap_.resize(kept);
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
+    cancelledQueued_ = 0;
+    ++compactions_;
 }
 
 bool
 EventQueue::runOne(Tick limit)
 {
-    for (;;) {
-        Event *wheelEv = wheelFront();
-        bool fromWheel;
-        if (wheelEv != nullptr && !heap_.empty())
-            // Later(heap, wheel): the wheel event runs first.
-            fromWheel = Later{}(heap_.front(), *wheelEv);
-        else if (wheelEv != nullptr)
-            fromWheel = true;
-        else if (!heap_.empty())
-            fromWheel = false;
-        else
-            return false;
-        if ((fromWheel ? wheelEv->when : heap_.front().when) > limit)
-            return false;
-        // The event is fully detached from the queue before the
-        // callback runs, so callbacks may schedule further events
-        // freely.
-        Event ev = fromWheel ? popWheel() : popEvent();
-        if (ev.isTimer) {
-            if (liveTimers_.erase(ev.sequence) == 0) {
-                // Cancelled timer: drop without running or advancing
-                // the clock. A cancelled heap slot draining naturally
-                // is one fewer for compaction to reclaim.
-                --cancelledQueued_;
-                if (!fromWheel)
-                    --heapCancelled_;
-                continue;
-            }
-            if (!fromWheel)
-                heapTimers_.erase(ev.sequence);
+    while (!heap_.empty() && heap_.front().when <= limit) {
+        const Key key = heap_.front();
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        heap_.pop_back();
+        // Detach the callback before it runs: it may schedule events,
+        // which can reuse this slot or grow the slab.
+        const std::uint32_t slot = key.slot & ~kTimerBit;
+        Callback cb = std::move(callbacks_[slot]);
+        freeSlots_.push_back(slot);
+        if ((key.slot & kTimerBit) != 0 &&
+            liveTimers_.erase(key.sequence) == 0) {
+            // Cancelled timer: drop (releasing its captures) without
+            // running or advancing the clock.
+            --cancelledQueued_;
+            continue;
         }
-        now_ = ev.when;
+        now_ = key.when;
         ++processed_;
-        ev.callback();
+        cb();
         return true;
     }
+    return false;
 }
 
 bool

@@ -15,14 +15,11 @@
  *    inline storage; oversized captures spill into a thread-local
  *    kernels::PoolAllocator, so steady-state scheduling performs no
  *    global heap allocation.
- *  - Near-future events (within kWheelHorizon ticks of now) live in a
- *    calendar-queue timer wheel: O(1) insert into an unsorted slot,
- *    sorted lazily when the cursor reaches it. Far-future events
- *    overflow into the original binary heap. Pop takes the earlier of
- *    the two fronts under the total (when, priority, sequence) order,
- *    so execution order — and therefore every simulation result — is
- *    bit-identical to the single-heap implementation (the property
- *    suite cross-checks this against sim::ReferenceEventQueue).
+ *  - One binary heap orders 24-byte keys (when, priority, sequence,
+ *    slot). The callbacks sit in a slab of slots the keys index, so a
+ *    heap sift moves only keys, and each callback moves once into its
+ *    slot and once out to run. The property suite cross-checks the
+ *    queue against sim::ReferenceEventQueue.
  *  - Timer bookkeeping uses FlatSet64 (open addressing, no per-insert
  *    node allocation).
  */
@@ -50,12 +47,10 @@ using Callback = InlineCallback;
 using TimerId = std::uint64_t;
 constexpr TimerId kInvalidTimer = 0;
 
-/** Deterministic event queue (timer wheel + overflow min-heap). */
+/** Deterministic event queue (binary min-heap of keys over a slab). */
 class EventQueue
 {
   public:
-    EventQueue() : wheel_(kWheelSlots) {}
-
     /** Current simulated time. */
     Tick now() const { return now_; }
 
@@ -100,7 +95,7 @@ class EventQueue
     size_t activeTimers() const { return liveTimers_.size(); }
 
     /** True when no events remain (cancelled slots count as events). */
-    bool empty() const { return heap_.empty() && wheelCount_ == 0; }
+    bool empty() const { return heap_.empty(); }
 
     /**
      * Number of queued event slots, cancelled timers included: a
@@ -110,49 +105,37 @@ class EventQueue
      * will actually execute; polling pending() for progress or
      * termination decisions overcounts under timer cancellation.
      */
-    size_t pending() const { return heap_.size() + wheelCount_; }
+    size_t pending() const { return heap_.size(); }
 
     /**
      * Events that will actually execute: pending() minus queued
      * cancelled-timer slots. This is the count to poll for progress /
      * termination decisions.
      */
-    size_t pendingLive() const { return pending() - cancelledQueued_; }
+    size_t pendingLive() const { return heap_.size() - cancelledQueued_; }
 
     /**
-     * Times the overflow heap was rebuilt to shed cancelled-timer
-     * slots. The rebuild triggers when at least kCompactMinCancelled
-     * heap slots are cancelled and they make up half the heap, which
-     * keeps pending() at O(live events + kCompactMinCancelled +
-     * one wheel rotation) no matter how many timers were ever
-     * cancelled (hedged offloads cancel one timer per offload). Wheel
-     * slots are never swept: a cancelled wheel entry drains with its
-     * slot within one rotation (kWheelHorizon ticks), so it cannot
-     * accumulate. Compaction never changes results: execution order is
-     * the total (when, priority, sequence) order, which does not
-     * depend on heap layout.
+     * Times the heap was rebuilt to shed cancelled-timer slots. The
+     * rebuild triggers when at least kCompactMinCancelled queued slots
+     * are cancelled and they make up half the heap, which keeps
+     * pending() at O(live events + kCompactMinCancelled) no matter how
+     * many timers were ever cancelled (hedged offloads cancel one
+     * timer per offload). Compaction never changes results: execution
+     * order is the total (when, priority, sequence) order, which does
+     * not depend on heap layout.
      */
     std::uint64_t compactions() const { return compactions_; }
 
-    /** Cancelled-heap-slot floor below which compaction never triggers. */
+    /** Cancelled-slot floor below which compaction never triggers. */
     static constexpr size_t kCompactMinCancelled = 64;
 
-    /** Wheel slot width in ticks (one slot per kSlotWidth quotient). */
-    static constexpr Tick kSlotWidth = 64;
-
-    /** Number of wheel slots (power of two). */
-    static constexpr size_t kWheelSlots = 1024;
-
-    /**
-     * Events with when - now() below this horizon take the wheel path;
-     * events at or past it go to the overflow heap. (The exact rule is
-     * quotient-based: floor(when / kSlotWidth) must be within
-     * kWheelSlots of floor(now / kSlotWidth).)
-     */
-    static constexpr Tick kWheelHorizon = kSlotWidth * kWheelSlots;
-
-    /** Reserve overflow-heap capacity for expected pending events. */
-    void reserve(size_t events) { heap_.reserve(events); }
+    /** Reserve capacity for an expected number of pending events. */
+    void
+    reserve(size_t events)
+    {
+        heap_.reserve(events);
+        callbacks_.reserve(events);
+    }
 
     /** Total events executed so far. */
     std::uint64_t processed() const { return processed_; }
@@ -173,23 +156,24 @@ class EventQueue
     void runAll();
 
   private:
-    struct Event
+    /** Heap entry; the callback it orders lives in callbacks_. */
+    struct Key
     {
         Tick when;
-        int priority;
-        // Lives in the padding after priority, so tagging timers costs
-        // no space. A queued timer whose sequence has left liveTimers_
-        // was cancelled; untagged events skip cancellation bookkeeping
-        // entirely on the pop path.
-        bool isTimer;
         std::uint64_t sequence;
-        Callback callback;
+        int priority;
+        // Index into callbacks_, with kTimerBit set for timers. A
+        // queued timer whose sequence has left liveTimers_ was
+        // cancelled; plain events skip that lookup on the pop path.
+        std::uint32_t slot;
     };
+
+    static constexpr std::uint32_t kTimerBit = 0x8000'0000u;
 
     struct Later
     {
         bool
-        operator()(const Event &a, const Event &b) const
+        operator()(const Key &a, const Key &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -199,41 +183,12 @@ class EventQueue
         }
     };
 
-    static constexpr std::uint64_t kNoSortedSlot = ~std::uint64_t{0};
+    /** schedule() body; returns the event's sequence number. */
+    std::uint64_t scheduleEvent(Tick when, Callback &&cb, int priority,
+                                bool isTimer);
 
-    /** Where scheduleEvent placed an event, for timer bookkeeping. */
-    struct Placement
-    {
-        std::uint64_t sequence;
-        bool inHeap;
-    };
-
-    /** Move the earliest event out of the heap (heap_ must be non-empty). */
-    Event popEvent();
-
-    /** schedule() body that also reports sequence number and placement. */
-    Placement scheduleEvent(Tick when, Callback &&cb, int priority,
-                            bool isTimer);
-
-    /** now() + delay with an explicit overflow check (satellite fix). */
+    /** now() + delay with an explicit overflow check. */
     Tick deadlineFromNow(Tick delay, const char *who) const;
-
-    /**
-     * Earliest wheel event, or nullptr when the wheel is empty. Sorts
-     * the fronting slot lazily; afterwards cursorQuotient_ names that
-     * slot and its back() is the pointee.
-     */
-    Event *wheelFront();
-
-    /** Detach the event wheelFront() returned. */
-    Event popWheel();
-
-    /**
-     * Squeeze moved-from holes out of a partially drained sorted slot
-     * so it can be treated as unsorted again. Only needed on the rare
-     * mid-drain switch to another slot (an insert below the cursor).
-     */
-    void compactSortedSlot();
 
     /**
      * Pop-and-execute the earliest live event whose tick is <= @p limit,
@@ -246,33 +201,17 @@ class EventQueue
     void maybeCompact();
 
     // An explicit vector heap (std::push_heap/pop_heap with Later, so
-    // front() is the earliest event) instead of std::priority_queue:
-    // priority_queue::top() is const and forces a copy of the Event on
-    // every pop, which is pure hot-path overhead in multi-million-event
-    // runs. pop_heap moves the earliest event to the back, where it can
-    // be moved out. Only far-future events (past the wheel horizon)
-    // land here.
-    std::vector<Event> heap_;
+    // front() is the earliest key) instead of std::priority_queue,
+    // whose const top() cannot hand the key off without a copy.
+    std::vector<Key> heap_;
 
-    // Calendar-queue wheel for near-future events. Slot index is
-    // floor(when / kSlotWidth) mod kWheelSlots; because every pending
-    // event satisfies now <= when < now + horizon (quotient-wise), the
-    // mapping quotient -> slot is injective over pending events, so a
-    // slot never mixes two quotients. Slots stay unsorted (and their
-    // events never move) until the cursor reaches them; the one
-    // draining slot (sortedSlotQuotient_) is ordered through
-    // drainOrder_, a vector of indices into the slot sorted descending
-    // under Later so back() names the earliest event. Sorting 4-byte
-    // indices instead of 96-byte events keeps the sort out of the
-    // relocation business; drained entries leave moved-from holes that
-    // are reclaimed when the slot empties (or compacted via scratch_
-    // on the rare switch to another slot mid-drain).
-    std::vector<std::vector<Event>> wheel_;
-    std::vector<std::uint32_t> drainOrder_;
-    std::vector<Event> scratch_;
-    size_t wheelCount_ = 0;
-    std::uint64_t cursorQuotient_ = 0;
-    std::uint64_t sortedSlotQuotient_ = kNoSortedSlot;
+    // The slab. A slot is taken when its event is scheduled and goes
+    // on freeSlots_ only when its key leaves heap_ — popped to run,
+    // popped as a cancelled timer, or dropped by compaction. A
+    // cancelled timer keeps its slot until then, so no key in heap_
+    // can name a slot that was reused.
+    std::vector<Callback> callbacks_;
+    std::vector<std::uint32_t> freeSlots_;
 
     Tick now_ = 0;
     // Sequence numbers double as TimerIds, so 0 is reserved as the
@@ -281,27 +220,15 @@ class EventQueue
     std::uint64_t processed_ = 0;
     std::uint64_t compactions_ = 0;
 
-    // Cancellation bookkeeping. There is no cancelled-id set:
-    // cancelTimer erases the id from liveTimers_, and the pop path
-    // treats any Event tagged isTimer whose sequence is absent from
-    // liveTimers_ as cancelled. Both sets are bounded by the number of
-    // pending events and never iterated, so hash order cannot leak
-    // into results. Sequence numbers start at 1, so FlatSet64's
-    // reserved key 0 is never needed.
+    // The only cancellation record: cancelTimer erases the id from
+    // liveTimers_, and a queued timer key whose sequence is absent is
+    // cancelled. The set is bounded by the number of pending events
+    // and never iterated, so hash order cannot leak into results.
+    // Sequence numbers start at 1, so FlatSet64's reserved key 0 is
+    // never needed.
     FlatSet64 liveTimers_;
 
-    // Timers currently resident in the overflow heap, so cancelTimer
-    // can tell heap cancellations (which need compaction — the slot
-    // would otherwise persist until its arbitrarily far tick) from
-    // wheel cancellations (which self-drain within one rotation).
-    // heapCancelled_ counts cancelled slots still in the heap; it
-    // resets on compaction and decrements when a cancelled slot drains
-    // off the heap naturally.
-    FlatSet64 heapTimers_;
-    size_t heapCancelled_ = 0;
-
-    // Cancelled slots still queued anywhere (wheel or heap), so
-    // pendingLive() stays O(1).
+    // Cancelled timer keys still in heap_, so pendingLive() stays O(1).
     size_t cancelledQueued_ = 0;
 };
 

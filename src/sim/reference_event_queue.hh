@@ -8,9 +8,9 @@
  * byte-for-byte faithful to the seed implementation:
  *
  *  - the randomized property suite (tests/sim/event_queue_property_
- *    test.cc) cross-checks the timer-wheel EventQueue against it:
- *    identical execution sequences and identical now()/processed()
- *    trajectories for arbitrary op mixes;
+ *    test.cc) cross-checks EventQueue against it: identical execution
+ *    sequences and identical now()/processed()/pending() trajectories
+ *    for arbitrary op mixes;
  *  - bench/simcore_throughput uses it as the "pre-change queue"
  *    baseline for the events/sec and allocations/event regression
  *    gates.

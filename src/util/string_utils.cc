@@ -106,15 +106,4 @@ parseCount(std::string_view s)
     return static_cast<std::uint64_t>(rounded);
 }
 
-bool
-parseBool(std::string_view s)
-{
-    std::string t = toLower(trim(s));
-    if (t == "true" || t == "yes" || t == "on" || t == "1")
-        return true;
-    if (t == "false" || t == "no" || t == "off" || t == "0")
-        return false;
-    fatal("parseBool: malformed boolean '" + t + "'");
-}
-
 } // namespace accel

@@ -46,7 +46,4 @@ double parseDouble(std::string_view s);
  */
 std::uint64_t parseCount(std::string_view s);
 
-/** Parse a boolean: accepts true/false/yes/no/on/off/1/0 (case-blind). */
-bool parseBool(std::string_view s);
-
 } // namespace accel

@@ -28,8 +28,8 @@ TEST(Config, ParsesSectionsAndKeys)
 TEST(Config, GlobalSection)
 {
     Config cfg = Config::fromString("top = 1\n[sec]\nk = 2\n");
-    EXPECT_EQ(cfg.getCount("", "top"), 1u);
-    EXPECT_EQ(cfg.getCount("sec", "k"), 2u);
+    EXPECT_DOUBLE_EQ(cfg.getDouble("", "top"), 1.0);
+    EXPECT_DOUBLE_EQ(cfg.getDouble("sec", "k"), 2.0);
 }
 
 TEST(Config, CommentsStripped)
@@ -38,8 +38,8 @@ TEST(Config, CommentsStripped)
         "# leading comment\n"
         "a = 1 ; trailing\n"
         "b = 2 # trailing hash\n");
-    EXPECT_EQ(cfg.getCount("", "a"), 1u);
-    EXPECT_EQ(cfg.getCount("", "b"), 2u);
+    EXPECT_DOUBLE_EQ(cfg.getDouble("", "a"), 1.0);
+    EXPECT_DOUBLE_EQ(cfg.getDouble("", "b"), 2.0);
 }
 
 TEST(Config, WhitespaceTolerant)
@@ -60,15 +60,6 @@ TEST(Config, DefaultsReturned)
     Config cfg = Config::fromString("[s]\na = 1\n");
     EXPECT_DOUBLE_EQ(cfg.getDouble("s", "missing", 3.5), 3.5);
     EXPECT_EQ(cfg.getString("s", "missing", "dflt"), "dflt");
-    EXPECT_EQ(cfg.getCount("s", "missing", 9u), 9u);
-    EXPECT_TRUE(cfg.getBool("s", "missing", true));
-}
-
-TEST(Config, BooleanValues)
-{
-    Config cfg = Config::fromString("on = yes\noff = 0\n");
-    EXPECT_TRUE(cfg.getBool("", "on"));
-    EXPECT_FALSE(cfg.getBool("", "off"));
 }
 
 TEST(Config, SyntaxErrors)
@@ -84,7 +75,7 @@ TEST(Config, DuplicateKeyLastWins)
     LogLevel prev = setLogLevel(LogLevel::Silent);
     Config cfg = Config::fromString("a = 1\na = 2\n");
     setLogLevel(prev);
-    EXPECT_EQ(cfg.getCount("", "a"), 2u);
+    EXPECT_DOUBLE_EQ(cfg.getDouble("", "a"), 2.0);
 }
 
 TEST(Config, SectionsAndKeysPreserveOrder)
@@ -143,7 +134,7 @@ TEST(Config, UnusedKeysTracksProbes)
     EXPECT_EQ(unused[1], "b");
     EXPECT_EQ(unused[2], "c");
 
-    cfg.getCount("s", "b"); // get() marks accessed
+    cfg.getDouble("s", "b"); // get() marks accessed
     cfg.has("s", "c");      // a bare existence probe counts too
     unused = cfg.unusedKeys("s");
     ASSERT_EQ(unused.size(), 1u);
@@ -155,7 +146,7 @@ TEST(Config, UnusedKeysIgnoresProbesForAbsentKeys)
     Config cfg = Config::fromString("[s]\na = 1\n");
     // Probing a key that is not there must not mark anything.
     EXPECT_FALSE(cfg.has("s", "zzz"));
-    cfg.getCount("s", "zzz", 7u);
+    cfg.getDouble("s", "zzz", 7.0);
     auto unused = cfg.unusedKeys("s");
     ASSERT_EQ(unused.size(), 1u);
     EXPECT_EQ(unused[0], "a");
@@ -164,7 +155,7 @@ TEST(Config, UnusedKeysIgnoresProbesForAbsentKeys)
 TEST(Config, UnusedKeysScopedToSection)
 {
     Config cfg = Config::fromString("[x]\na = 1\n[y]\na = 2\n");
-    cfg.getCount("x", "a");
+    cfg.getDouble("x", "a");
     EXPECT_TRUE(cfg.unusedKeys("x").empty());
     ASSERT_EQ(cfg.unusedKeys("y").size(), 1u);
     EXPECT_TRUE(cfg.unusedKeys("nope").empty());

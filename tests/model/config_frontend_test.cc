@@ -139,10 +139,21 @@ TEST(ConfigFrontend, PlannerModeBytesWeighting)
 
 TEST(ConfigFrontend, PlannerModeRejectsAmbiguity)
 {
-    Config cfg = Config::fromString(
-        "[x]\nC=1e9\nalpha=0.1\nn=5\ncb=2\nn_total=10\n"
-        "granularity_cdf = 0:64:1\n");
-    EXPECT_THROW(paramsFromConfig(cfg, "x"), FatalError);
+    // The planner derives n and offloaded_fraction, so giving either
+    // one as well is an error naming it rather than a silent override.
+    for (const std::string key : {"n", "offloaded_fraction"}) {
+        Config cfg = Config::fromString(
+            "[x]\nC=1e9\nalpha=0.1\ncb=2\nn_total=10\n" + key +
+            " = 0.1\ngranularity_cdf = 0:64:1\n");
+        try {
+            paramsFromConfig(cfg, "x");
+            FAIL() << key << " accepted in planner mode";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("either " + key + " "),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     Config bad = Config::fromString(
         "[x]\nC=1e9\nalpha=0.1\ncb=2\nn_total=10\n"
         "weighting = sideways\ngranularity_cdf = 0:64:1\n");

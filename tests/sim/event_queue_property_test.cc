@@ -1,18 +1,18 @@
 /**
  * @file
- * Randomized property suite: the timer-wheel EventQueue must be
- * observationally identical to ReferenceEventQueue (the pre-
- * optimization pure-heap queue kept as an executable specification).
+ * Randomized property suite: EventQueue (keys in one heap over a
+ * callback slab) must be observationally identical to
+ * ReferenceEventQueue (the pre-optimization std::function queue kept
+ * as an executable specification).
  *
  * For seeded random mixes of schedule / scheduleIn / scheduleTimer /
  * scheduleTimerIn / cancelTimer / runNext / runUntil — including
  * callbacks that schedule and cancel reentrantly — both queues must
  * produce the identical callback execution sequence, identical
  * TimerIds, identical cancelTimer results, and identical
- * now()/processed()/activeTimers()/pendingLive()/empty() trajectories.
- * pending() and compactions() are deliberately NOT compared: the two
- * queues reclaim cancelled slots on different schedules, which is an
- * allowed implementation difference.
+ * now()/processed()/activeTimers()/pendingLive()/empty()/pending()/
+ * compactions() trajectories. The last two agree because both queues
+ * reclaim cancelled slots under the same kCompactMinCancelled rule.
  *
  * Test names stay under `EventQueueProperty.` — CI runs exactly this
  * prefix under ThreadSanitizer.
@@ -62,8 +62,10 @@ struct Observed
     std::vector<std::uint64_t> log;     //!< labels in execution order
     std::vector<TimerId> timers;        //!< every TimerId handed out
     std::vector<bool> cancelResults;    //!< cancelTimer return values
-    // (now, processed, activeTimers, pendingLive, empty) after each op
-    std::vector<std::tuple<Tick, std::uint64_t, size_t, size_t, bool>>
+    // (now, processed, activeTimers, pendingLive, empty, pending,
+    // compactions) after each op
+    std::vector<std::tuple<Tick, std::uint64_t, size_t, size_t, bool,
+                           size_t, std::uint64_t>>
         trajectory;
 };
 
@@ -146,8 +148,8 @@ class Script
         if (label >= kChildLabel)
             return; // children do not recurse
         if (label % 5 == 0) {
-            // Reentrant plain event, possibly into the slot the
-            // queue is draining right now.
+            // Reentrant plain event, possibly at the tick the queue
+            // is draining right now.
             q_.schedule(q_.now() + (label * 37) % 190,
                         event(kChildLabel + label),
                         static_cast<int>(label % 3) - 1);
@@ -169,7 +171,8 @@ class Script
     {
         seen_.trajectory.emplace_back(q_.now(), q_.processed(),
                                       q_.activeTimers(),
-                                      q_.pendingLive(), q_.empty());
+                                      q_.pendingLive(), q_.empty(),
+                                      q_.pending(), q_.compactions());
     }
 
     Queue q_;
@@ -177,20 +180,22 @@ class Script
     std::uint64_t nextLabel_ = 1;
 };
 
-/** Delay distribution that straddles the wheel/heap boundary. */
+/** Split between near and far delays, in ticks. */
+constexpr Tick kHorizon = 65536;
+
+/** Delay mix: near churn, mid-range, around kHorizon, and far. */
 Tick
 randomDelay(Rng &rng)
 {
     switch (rng.next() % 4) {
-    case 0: // same-slot and near-future churn
+    case 0: // equal-tick and near-future churn
         return rng.next() % 256;
-    case 1: // anywhere inside the wheel window
-        return rng.next() % EventQueue::kWheelHorizon;
-    case 2: // right at the wheel/heap eligibility boundary
-        return EventQueue::kWheelHorizon - 2 + rng.next() % 5;
-    default: // far future: overflow heap
-        return EventQueue::kWheelHorizon +
-               rng.next() % (EventQueue::kWheelHorizon * 3);
+    case 1: // anywhere below the horizon
+        return rng.next() % kHorizon;
+    case 2: // right at the horizon
+        return kHorizon - 2 + rng.next() % 5;
+    default: // far future
+        return kHorizon + rng.next() % (kHorizon * 3);
     }
 }
 
@@ -232,13 +237,13 @@ makeOps(std::uint64_t seed, bool cancelHeavy)
 void
 expectSameBehaviour(const std::vector<Op> &ops, std::uint64_t seed)
 {
-    Observed wheel = Script<EventQueue>{}.run(ops);
+    Observed fast = Script<EventQueue>{}.run(ops);
     Observed oracle = Script<ReferenceEventQueue>{}.run(ops);
-    EXPECT_EQ(wheel.log, oracle.log) << "seed " << seed;
-    EXPECT_EQ(wheel.timers, oracle.timers) << "seed " << seed;
-    EXPECT_EQ(wheel.cancelResults, oracle.cancelResults)
+    EXPECT_EQ(fast.log, oracle.log) << "seed " << seed;
+    EXPECT_EQ(fast.timers, oracle.timers) << "seed " << seed;
+    EXPECT_EQ(fast.cancelResults, oracle.cancelResults)
         << "seed " << seed;
-    EXPECT_EQ(wheel.trajectory, oracle.trajectory) << "seed " << seed;
+    EXPECT_EQ(fast.trajectory, oracle.trajectory) << "seed " << seed;
 }
 
 TEST(EventQueueProperty, RandomOpMixMatchesReference)
@@ -249,8 +254,8 @@ TEST(EventQueueProperty, RandomOpMixMatchesReference)
 
 TEST(EventQueueProperty, CancelHeavyMixMatchesReference)
 {
-    // Arm-then-cancel dominated mixes drive both queues through their
-    // (different) compaction machinery; observables must still agree.
+    // Arm-then-cancel dominated mixes drive both queues through
+    // compaction; observables must still agree.
     for (std::uint64_t seed = 100; seed <= 115; ++seed)
         expectSameBehaviour(makeOps(seed, /*cancelHeavy=*/true), seed);
 }

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,10 @@
 
 namespace accel::sim {
 namespace {
+
+/** A far-future delay and a short stride, in ticks. */
+constexpr Tick kFarDelay = 65536;
+constexpr Tick kStride = 64;
 
 /** Callable that counts how many times it is copied and invoked. */
 struct CountingCallback
@@ -171,6 +176,90 @@ TEST(EventQueue, CapturedSharedStateReleasedAfterRun)
     EXPECT_FALSE(watch.expired()); // alive inside the queue
     eq.runAll();
     EXPECT_TRUE(watch.expired()); // not retained after execution
+}
+
+TEST(EventQueue, CapturesReleasedExactlyOnceWhenFiredCancelledOrCompacted)
+{
+    // use_count() must go from 2 (test + queued callback) to 1 exactly
+    // once: when the timer fires, when a cancelled timer drains, and
+    // when compaction drops a cancelled timer. A double release would
+    // take it to 0; a leak would leave it at 2.
+    auto fired = std::make_shared<int>(0);
+    auto drained = std::make_shared<int>(0);
+    auto compacted = std::make_shared<int>(0);
+    {
+        EventQueue eq;
+        eq.scheduleTimer(10, [fired] { ++*fired; });
+        TimerId d = eq.scheduleTimer(20, [drained] { ++*drained; });
+        TimerId c =
+            eq.scheduleTimer(kFarDelay, [compacted] { ++*compacted; });
+        EXPECT_TRUE(eq.cancelTimer(d));
+        EXPECT_TRUE(eq.cancelTimer(c));
+        EXPECT_EQ(drained.use_count(), 2); // cancelled but still queued
+
+        eq.runUntil(30);
+        EXPECT_EQ(*fired, 1);
+        EXPECT_EQ(fired.use_count(), 1);
+        EXPECT_EQ(drained.use_count(), 1);
+        EXPECT_EQ(compacted.use_count(), 2); // its tick is far off
+
+        // Cancel enough further timers for a compaction to drop c.
+        for (size_t i = 0; i < EventQueue::kCompactMinCancelled; ++i)
+            eq.cancelTimer(eq.scheduleTimer(kFarDelay + 1 + i, [] {}));
+        EXPECT_EQ(eq.compactions(), 1u);
+        EXPECT_EQ(compacted.use_count(), 1);
+
+        // The freed slots are reused; running and destroying the queue
+        // must not release anything a second time.
+        for (int i = 0; i < 8; ++i)
+            eq.scheduleIn(1 + i, [] {});
+        eq.runAll();
+    }
+    EXPECT_EQ(fired.use_count(), 1);
+    EXPECT_EQ(drained.use_count(), 1);
+    EXPECT_EQ(compacted.use_count(), 1);
+    EXPECT_EQ(*drained, 0);
+    EXPECT_EQ(*compacted, 0);
+}
+
+TEST(EventQueue, ReusedSlotsNeverRunStaleCallbacks)
+{
+    // Slots are recycled as events run, cancelled timers drain, and
+    // compaction drops cancelled keys. Through a mix of all three,
+    // every event must run its own callback exactly once, and no
+    // successfully cancelled timer may run at all.
+    EventQueue eq;
+    constexpr int kRounds = 40;
+    constexpr int kPerRound = 24;
+    std::vector<int> runs(kRounds * kPerRound, 0);
+    std::vector<int> expected(runs.size(), 1);
+    std::vector<std::pair<TimerId, int>> timers;
+    int label = 0;
+    for (int round = 0; round < kRounds; ++round) {
+        for (int i = 0; i < kPerRound; ++i, ++label) {
+            auto cb = [&runs, label] { ++runs[label]; };
+            if (label % 4 == 0) {
+                eq.scheduleIn(1 + label % 7, std::move(cb));
+            } else {
+                // Every third timer is far off, so only compaction
+                // (or the final drain) removes it.
+                const Tick delay =
+                    label % 3 == 0 ? kFarDelay + label : 1 + label % 11;
+                timers.emplace_back(eq.scheduleTimerIn(delay, std::move(cb)),
+                                    label);
+            }
+        }
+        // Cancel every other timer armed so far, alternating parity
+        // by round: some are live, some fired or already cancelled.
+        for (size_t t = round % 2; t < timers.size(); t += 2) {
+            if (eq.cancelTimer(timers[t].first))
+                expected[timers[t].second] = 0;
+        }
+        eq.runUntil(eq.now() + 6);
+    }
+    eq.runAll();
+    EXPECT_GT(eq.compactions(), 0u);
+    EXPECT_EQ(runs, expected);
 }
 
 TEST(EventQueue, ReserveDoesNotDisturbOrdering)
@@ -459,10 +548,10 @@ TEST(EventQueue, PendingLiveExcludesCancelledSlots)
 
 TEST(EventQueue, PendingLiveExcludesCancelledHeapSlots)
 {
-    // Same accounting across the wheel horizon (overflow-heap path),
-    // including after a compaction reclaims the slots.
+    // Same accounting for far-future timers, including after a
+    // compaction reclaims the slots.
     EventQueue eq;
-    const Tick kFar = EventQueue::kWheelHorizon * 4;
+    const Tick kFar = kFarDelay * 4;
     std::vector<TimerId> ids;
     for (size_t i = 0; i < 3 * EventQueue::kCompactMinCancelled; ++i)
         ids.push_back(eq.scheduleTimer(kFar + i, [] {}));
@@ -478,15 +567,13 @@ TEST(EventQueue, PendingLiveExcludesCancelledHeapSlots)
 
 TEST(EventQueue, WheelHorizonBoundaryOrdering)
 {
-    // Events straddling the wheel/heap boundary must still run in
-    // global timestamp order, including events that start beyond the
-    // horizon (heap) and are overtaken by the advancing clock.
+    // Events on both sides of a power-of-two tick boundary, scheduled
+    // out of order, must run in global timestamp order.
     EventQueue eq;
     std::vector<Tick> order;
     auto record = [&] { order.push_back(eq.now()); };
-    const Tick kH = EventQueue::kWheelHorizon;
-    for (Tick t : {kH - 1, kH, kH + 1, Tick{1}, kH * 2,
-                   kH - EventQueue::kSlotWidth})
+    const Tick kH = kFarDelay;
+    for (Tick t : {kH - 1, kH, kH + 1, Tick{1}, kH * 2, kH - kStride})
         eq.schedule(t, record);
     eq.runAll();
     std::vector<Tick> sorted = order;

@@ -124,22 +124,5 @@ TEST(ParseDouble, WhitespaceOnlyRejected)
     EXPECT_THROW(parseDouble("   \t  "), FatalError);
 }
 
-TEST(ParseBool, AllSpellings)
-{
-    EXPECT_TRUE(parseBool("true"));
-    EXPECT_TRUE(parseBool("YES"));
-    EXPECT_TRUE(parseBool("On"));
-    EXPECT_TRUE(parseBool("1"));
-    EXPECT_FALSE(parseBool("false"));
-    EXPECT_FALSE(parseBool("no"));
-    EXPECT_FALSE(parseBool("OFF"));
-    EXPECT_FALSE(parseBool("0"));
-}
-
-TEST(ParseBool, RejectsOther)
-{
-    EXPECT_THROW(parseBool("maybe"), FatalError);
-}
-
 } // namespace
 } // namespace accel
