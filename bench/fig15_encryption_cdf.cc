@@ -19,7 +19,8 @@ main()
     bench::printCdf("Cache1 encryption granularities", *sizes);
 
     // The AES-NI break-even marker: with Table 6's o0=10, L=3, A=6 and
-    // the calibrated software-AES cost, speedup > 1 from ~1 B.
+    // Cache1's software-AES cost per byte (Table 6's kernel cycles per
+    // offload over the mean encryption size), speedup > 1 from ~1 B.
     workload::CaseStudy cs = workload::aesNiCaseStudy();
     double cb = cs.experiment.workload.cyclesPerByte;
     model::OffloadProfit profit{cb, 1.0};

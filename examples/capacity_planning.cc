@@ -19,7 +19,6 @@
 #include "microsim/tier.hh"
 #include "model/queueing.hh"
 #include "model/report.hh"
-#include "model/sweep.hh"
 #include "util/table.hh"
 
 int

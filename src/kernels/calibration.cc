@@ -8,7 +8,6 @@
 #include "kernels/aes128.hh"
 #include "kernels/lz_compress.hh"
 #include "kernels/memops.hh"
-#include "kernels/sha256.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/wall_timer.hh"
@@ -141,21 +140,6 @@ calibrateAesCtr(double clockGHz)
                                             static_cast<long>(bytes));
         auto out = cipher->ctr(input, iv);
         return out.empty() ? 0 : out.back();
-    };
-    return calibrate(op, {256, 1024, 4096, 16384, 65536}, clockGHz);
-}
-
-Calibration
-calibrateSha256(double clockGHz)
-{
-    Rng rng(43);
-    auto data = std::make_shared<std::vector<std::uint8_t>>(
-        logLikeData(64 * 1024, rng));
-    auto op = [data](size_t bytes) -> std::uint64_t {
-        Sha256 h;
-        h.update(data->data(), bytes);
-        auto digest = h.finish();
-        return digest[0];
     };
     return calibrate(op, {256, 1024, 4096, 16384, 65536}, clockGHz);
 }

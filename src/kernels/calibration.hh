@@ -62,9 +62,6 @@ Calibration fitLinear(const std::vector<std::pair<double, double>> &samples);
 /** Convenience: calibrate AES-128-CTR encryption (the SSL leaf). */
 Calibration calibrateAesCtr(double clockGHz = 2.0);
 
-/** Convenience: calibrate SHA-256 (the hashing leaf). */
-Calibration calibrateSha256(double clockGHz = 2.0);
-
 /**
  * Convenience: calibrate LZ compression over synthetic log-like text
  * (the ZSTD leaf).

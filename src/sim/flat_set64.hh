@@ -2,8 +2,8 @@
  * @file
  * Open-addressing hash set of non-zero 64-bit keys.
  *
- * EventQueue tracks live and cancelled timer ids in sets that are hit
- * on every timer schedule/cancel/fire. `std::unordered_set` pays one
+ * EventQueue tracks live timer ids in one set that is hit on every
+ * timer schedule/cancel/fire. `std::unordered_set` pays one
  * node allocation per insert, which would break the sim-core goal of
  * zero steady-state heap traffic; FlatSet64 stores keys directly in a
  * flat power-of-two table (linear probing, backward-shift deletion, no

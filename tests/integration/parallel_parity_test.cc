@@ -9,6 +9,7 @@
  * not merely close — for worker counts {1, 2, 8}.
  */
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -101,24 +102,25 @@ flatten(const std::vector<SweepPoint> &points)
     return out;
 }
 
+/** @p count values from @p lo to @p hi in a constant ratio. */
+std::vector<double>
+geometric(double lo, double hi, size_t count)
+{
+    std::vector<double> xs(count);
+    double ratio = std::pow(hi / lo, 1.0 / static_cast<double>(count - 1));
+    double v = lo;
+    for (double &x : xs) {
+        x = v;
+        v *= ratio;
+    }
+    return xs;
+}
+
 TEST(ParallelParity, SweepBitIdentical)
 {
     expectParity([] {
         return flatten(model::sweepAccelFactor(
-            modelParams(), ThreadingDesign::Sync,
-            model::logspace(1, 64, 61)));
-    });
-}
-
-TEST(ParallelParity, LoadSweepBitIdenticalWithOmissions)
-{
-    expectParity([] {
-        size_t omitted = 0;
-        auto points = model::sweepLoad(
-            modelParams(), ThreadingDesign::Sync,
-            /*serviceCycles=*/1000, /*clockHz=*/1e9,
-            model::linspace(1e5, 2e6, 40), &omitted);
-        return std::make_pair(flatten(points), omitted);
+            modelParams(), ThreadingDesign::Sync, geometric(1, 64, 61)));
     });
 }
 
@@ -360,10 +362,12 @@ TEST(ParallelParity, ResilientServiceGraphBitIdentical)
 
 TEST(ParallelParity, WorkerExceptionPropagatesFromSweep)
 {
+    std::vector<double> xs(32);
+    for (size_t i = 0; i < xs.size(); ++i)
+        xs[i] = static_cast<double>(i) / 31.0;
     ThreadPool::setWorkers(8);
     EXPECT_THROW(
-        model::sweep(modelParams(), ThreadingDesign::Sync,
-                     model::linspace(0, 1, 32),
+        model::sweep(modelParams(), ThreadingDesign::Sync, xs,
                      [](Params &p, double x) {
                          // alpha > 1 violates the model domain.
                          p.alpha = 1.5 + x;

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/logging.hh"
-
 namespace accel::model {
 namespace {
 
@@ -21,30 +19,6 @@ base()
     return p;
 }
 
-TEST(Spaces, LinspaceEndpointsAndSpacing)
-{
-    auto xs = linspace(0, 10, 5);
-    ASSERT_EQ(xs.size(), 5u);
-    EXPECT_DOUBLE_EQ(xs.front(), 0);
-    EXPECT_DOUBLE_EQ(xs.back(), 10);
-    EXPECT_DOUBLE_EQ(xs[1], 2.5);
-}
-
-TEST(Spaces, LogspaceRatios)
-{
-    auto xs = logspace(1, 1000, 4);
-    ASSERT_EQ(xs.size(), 4u);
-    EXPECT_NEAR(xs[1] / xs[0], 10.0, 1e-9);
-    EXPECT_NEAR(xs[3], 1000.0, 1e-6);
-}
-
-TEST(Spaces, DomainChecks)
-{
-    EXPECT_THROW(linspace(0, 1, 1), FatalError);
-    EXPECT_THROW(linspace(2, 1, 3), FatalError);
-    EXPECT_THROW(logspace(0, 10, 3), FatalError);
-}
-
 TEST(Sweeps, AccelFactorMonotone)
 {
     auto points = sweepAccelFactor(base(), ThreadingDesign::Sync,
@@ -58,8 +32,9 @@ TEST(Sweeps, AccelFactorMonotone)
 
 TEST(Sweeps, InterfaceLatencyMonotone)
 {
-    auto points = sweepInterfaceLatency(
-        base(), ThreadingDesign::AsyncSameThread, {0, 100, 1000, 10000});
+    auto points = sweep(base(), ThreadingDesign::AsyncSameThread,
+                        {0, 100, 1000, 10000},
+                        [](Params &p, double x) { p.interfaceCycles = x; });
     for (size_t i = 1; i < points.size(); ++i) {
         EXPECT_LE(points[i].projection.speedup,
                   points[i - 1].projection.speedup);
@@ -68,8 +43,8 @@ TEST(Sweeps, InterfaceLatencyMonotone)
 
 TEST(Sweeps, AlphaSweepApproachesIdeal)
 {
-    auto points =
-        sweepAlpha(base(), ThreadingDesign::AsyncSameThread, {0.1, 0.9});
+    auto points = sweep(base(), ThreadingDesign::AsyncSameThread, {0.1, 0.9},
+                        [](Params &p, double x) { p.alpha = x; });
     EXPECT_LT(points[0].projection.speedup, points[1].projection.speedup);
 }
 
@@ -79,45 +54,6 @@ TEST(Sweeps, GenericSweepAppliesMutator)
                         [](Params &p, double x) { p.setupCycles = x; });
     ASSERT_EQ(points.size(), 2u);
     EXPECT_GT(points[0].projection.speedup, points[1].projection.speedup);
-}
-
-TEST(Sweeps, LoadSweepDropsUnstablePoints)
-{
-    // Service time 1000 cycles, clock 1e9: loads beyond 1e6/s unstable.
-    auto points = sweepLoad(base(), ThreadingDesign::Sync, 1000, 1e9,
-                            {1e5, 5e5, 9e5, 2e6});
-    EXPECT_EQ(points.size(), 3u);
-    // Speedup degrades as queueing grows with load.
-    for (size_t i = 1; i < points.size(); ++i) {
-        EXPECT_LT(points[i].projection.speedup,
-                  points[i - 1].projection.speedup);
-    }
-}
-
-TEST(Sweeps, LoadSweepSurfacesOmissionCount)
-{
-    size_t omitted = 99;
-    auto points = sweepLoad(base(), ThreadingDesign::Sync, 1000, 1e9,
-                            {1e5, 5e5, 9e5, 2e6, 3e6}, &omitted);
-    EXPECT_EQ(points.size(), 3u);
-    EXPECT_EQ(omitted, 2u);
-}
-
-TEST(Sweeps, FullySaturatedLoadSweepReportsAllPointsOmitted)
-{
-    // Every load saturates the accelerator: the empty result must be
-    // distinguishable from "no inputs" via the omission count.
-    size_t omitted = 0;
-    auto points = sweepLoad(base(), ThreadingDesign::Sync, 1000, 1e9,
-                            {2e6, 3e6, 4e6}, &omitted);
-    EXPECT_TRUE(points.empty());
-    EXPECT_EQ(omitted, 3u);
-
-    size_t none = 99;
-    auto empty = sweepLoad(base(), ThreadingDesign::Sync, 1000, 1e9,
-                           {}, &none);
-    EXPECT_TRUE(empty.empty());
-    EXPECT_EQ(none, 0u);
 }
 
 } // namespace

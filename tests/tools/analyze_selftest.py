@@ -6,18 +6,17 @@ is a fake repo root, so the scoped rules apply:
 tests/tools/fixtures (token rules) and tests/tools/fixtures/analyze
 (structural rules). Asserts that every rule fires exactly where the
 fixtures say it must, that allow() comments suppress, that
---audit-suppressions catches the planted stale allows, that the
-baseline round-trips, that the SARIF report is well-formed, that the
-default scope reaches tests/ for the token rules only, and that the
-regression roots pin the planted real-source defects (and their fixed
-forms stay clean).
+--audit-suppressions catches the planted stale allows, that the JSON
+report is well-formed, that the default scope reaches tests/ for the
+token rules only, and that the regression roots pin the planted
+real-source defects (and their fixed forms stay clean).
 
 Usage: analyze_selftest.py <case> [token|structural]
 where <case> is a rule name, "suppression", "clean", "exit-code",
 "audit-stale", "scope", "regression-dangling", "regression-rng",
-"regression-validate", "baseline", or "sarif". The optional second
-argument limits the suppression, clean, exit-code, audit-stale,
-baseline and sarif cases to one corpus; without it they check both.
+"regression-validate", or "report". The optional second argument
+limits the suppression, clean, exit-code, audit-stale and report cases
+to one corpus; without it they check both.
 """
 
 import json
@@ -35,6 +34,9 @@ CORPORA = {"token": TOKEN_CORPUS, "structural": STRUCTURAL_CORPUS}
 STALE_ROOT = os.path.join(STRUCTURAL_CORPUS, "stale")
 SCOPE_ROOT = os.path.join(STRUCTURAL_CORPUS, "scope")
 REGRESSION = os.path.join(STRUCTURAL_CORPUS, "regression")
+
+# Every finding in the JSON report carries exactly these keys.
+FINDING_KEYS = {"file", "line", "rule", "message", "suppressed"}
 
 # Expected *unsuppressed* findings per rule: (corpus, {file: count}).
 # The fixture headers pin the same numbers; keep them in sync.
@@ -103,7 +105,6 @@ def run_analyze(root, extra=None, paths=("src",)):
         report_path = tmp.name
     try:
         argv = [sys.executable, ANALYZE, "--root", root,
-                "--frontend", "builtin", "--baseline", "none",
                 "--json", report_path] + list(extra or []) + list(paths)
         proc = subprocess.run(argv, capture_output=True, text=True)
         with open(report_path, encoding="utf-8") as f:
@@ -128,14 +129,6 @@ def fail(msg, proc):
     print("--- analyzer stderr ---")
     print(proc.stderr)
     return 1
-
-
-def libclang_importable():
-    try:
-        import clang.cindex  # noqa: F401
-        return True
-    except Exception:
-        return False
 
 
 def main():
@@ -203,24 +196,6 @@ def main():
         if bad_rule.returncode != 2:
             return fail("expected exit 2 on an unknown rule, got %d"
                         % bad_rule.returncode, bad_rule)
-        # --frontend libclang must hard-error (not silently degrade)
-        # when the clang bindings are missing.
-        hard = subprocess.run(
-            [sys.executable, ANALYZE, "--root", STRUCTURAL_CORPUS,
-             "--frontend", "libclang", "src"],
-            capture_output=True, text=True)
-        if libclang_importable():
-            if hard.returncode not in (0, 1):
-                return fail("libclang available: expected exit 0/1, "
-                            "got %d" % hard.returncode, hard)
-        else:
-            if hard.returncode != 2:
-                return fail("libclang missing: expected exit 2 from "
-                            "--frontend libclang, got %d"
-                            % hard.returncode, hard)
-            if "needs libclang" not in hard.stderr:
-                return fail("missing-libclang error must say 'needs "
-                            "libclang'", hard)
     elif case == "audit-stale":
         for corpus in corpora:
             for root, want in STALE[corpus].items():
@@ -279,82 +254,28 @@ def main():
             if leak:
                 return fail("%s: fixed form %s produced findings: %r"
                             % (case, fixed, leak), proc)
-    elif case == "baseline":
+    elif case == "report":
         for root in corpora:
-            tmpdir = tempfile.mkdtemp()
-            baseline = os.path.join(tmpdir, "baseline.json")
-            try:
-                update = subprocess.run(
-                    [sys.executable, ANALYZE, "--root", root,
-                     "--frontend", "builtin", "--baseline", baseline,
-                     "--update-baseline", "src"],
-                    capture_output=True, text=True)
-                if update.returncode != 0:
-                    return fail("--update-baseline should exit 0, got "
-                                "%d" % update.returncode, update)
-                proc, report = run_analyze(
-                    root, extra=["--baseline", baseline])
-                if proc.returncode != 0:
-                    return fail("baselined rerun should exit 0, got %d"
-                                % proc.returncode, proc)
-                live = [f for f in report["findings"]
-                        if not f["suppressed"] and not f["baselined"]]
-                if live:
-                    return fail("baselined rerun left live findings: "
-                                "%r" % live, proc)
-                if not any(f["baselined"] for f in report["findings"]):
-                    return fail("baselined rerun marked nothing as "
-                                "baselined", proc)
-            finally:
-                if os.path.exists(baseline):
-                    os.unlink(baseline)
-                os.rmdir(tmpdir)
-    elif case == "sarif":
-        for root in corpora:
-            with tempfile.NamedTemporaryFile(suffix=".sarif",
-                                             delete=False) as tmp:
-                sarif_path = tmp.name
-            try:
-                proc, report = run_analyze(
-                    root, extra=["--sarif", sarif_path])
-                with open(sarif_path, encoding="utf-8") as f:
-                    sarif = json.load(f)
-            finally:
-                os.unlink(sarif_path)
+            proc, report = run_analyze(root)
+            if report.get("version") != 1 or \
+                    report.get("tool") != "accel-analyze":
+                return fail("report must be version 1 of accel-analyze, "
+                            "got version %r, tool %r"
+                            % (report.get("version"), report.get("tool")),
+                            proc)
+            if report.get("rules") != sorted(EXPECTED):
+                return fail("report must list the ten rules, got %r"
+                            % report.get("rules"), proc)
             findings = report["findings"]
-            if sarif.get("version") != "2.1.0":
-                return fail("SARIF version must be 2.1.0, got %r"
-                            % sarif.get("version"), proc)
-            if len(sarif["runs"]) != 1:
-                return fail("expected one SARIF run, got %d"
-                            % len(sarif["runs"]), proc)
-            run = sarif["runs"][0]
-            if run["tool"]["driver"]["name"] != "accel-analyze":
-                return fail("SARIF driver name mismatch: %r"
-                            % run["tool"]["driver"]["name"], proc)
-            results = run["results"]
-            if len(results) != len(findings):
-                return fail("SARIF results (%d) != JSON findings (%d)"
-                            % (len(results), len(findings)), proc)
+            for f in findings:
+                if set(f) != FINDING_KEYS:
+                    return fail("finding keys must be %r, got %r"
+                                % (sorted(FINDING_KEYS), sorted(f)),
+                                proc)
             keys = [(f["file"], f["line"], f["rule"]) for f in findings]
             if len(keys) != len(set(keys)):
-                return fail("JSON findings contain (file, line, rule) "
+                return fail("findings contain (file, line, rule) "
                             "duplicates after dedupe", proc)
-            suppressed = [r for r in results if r.get("suppressions")]
-            want = sum(1 for f in findings if f["suppressed"])
-            if len(suppressed) != want:
-                return fail("SARIF suppressions (%d) != suppressed "
-                            "findings (%d)" % (len(suppressed), want),
-                            proc)
-            declared = {r["id"] for r in
-                        run["tool"]["driver"].get("rules", [])}
-            if declared != set(EXPECTED):
-                return fail("SARIF must declare the ten rules, got %r"
-                            % sorted(declared), proc)
-            undeclared = {r["ruleId"] for r in results} - declared
-            if undeclared:
-                return fail("SARIF results reference undeclared rules: "
-                            "%r" % undeclared, proc)
     else:
         print("unknown case:", case)
         return 2

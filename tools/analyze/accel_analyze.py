@@ -97,44 +97,31 @@ functions, structs and lambdas.
 Scope: path arguments feed every rule. Without them each family checks
 its own default trees (TOKEN_PATHS, STRUCTURAL_PATHS).
 
-Frontends: with the libclang Python bindings importable and a
-compile_commands.json (-p builddir), the real clang AST refines two
-rules: fn-by-value keeps only lines holding a by-value callable
-parameter declaration, and rng-discipline drops advance findings whose
-receiver is not an accel::Rng. Without libclang the tool runs its
-built-in frontend — a comment/string-stripped lexer with
-balanced-bracket function/struct/lambda extraction — whose behaviour
-is pinned by the fixture corpora in tests/tools/fixtures/.
-`--frontend libclang` refuses to degrade: it exits 2 with a clear
-"needs libclang" error instead of silently passing.
+One frontend, a comment/string-stripped lexer with balanced-bracket
+function/struct/lambda extraction, serves every rule; its behaviour is
+pinned by the fixture corpora in tests/tools/fixtures/. The only input
+besides the sources is compile_commands.json (-p builddir), whose first
+entry gives header-standalone its compiler and flags.
 
-Any finding can be suppressed per line with a justification comment:
+A finding can be silenced only per line, with a justification comment:
 
     // accel-lint: allow(<rule>) -- one-line reason
 
 on the offending line or the comment block directly above it (for
 header-standalone: anywhere in the header's first 15 lines).
 
-Baseline: findings whose (file, rule, normalized line text)
-fingerprint appears in the baseline file (default
-tools/analyze/baseline.json) are reported but do not fail the run.
-The checked-in baseline is empty — the tree is analyzer-clean — and
-should stay that way; baselining is an escape hatch for landing a rule
-on a dirty tree, not a suppression mechanism.
-
 --audit-suppressions reports stale allow() comments: a suppression
 naming a rule that ran on its file on a line where that rule no longer
 fires.
 
-Exit status: 0 clean (only suppressed/baselined findings), 1 when any
-live finding remains (or any stale suppression in audit mode), 2 on
-usage or environment errors.
+Exit status: 0 clean (only suppressed findings), 1 when any live
+finding remains (or any stale suppression in audit mode), 2 on usage
+errors.
 """
 
 import argparse
 import concurrent.futures
 import functools
-import hashlib
 import json
 import os
 import re
@@ -142,11 +129,7 @@ import subprocess
 import sys
 import tempfile
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import sarif_util  # noqa: E402
-
 TOOL_NAME = "accel-analyze"
-TOOL_VERSION = "1.1.0"
 
 TOKEN_RULES = (
     "banned-random",
@@ -165,34 +148,6 @@ STRUCTURAL_RULES = (
 )
 
 ALL_RULES = TOKEN_RULES + STRUCTURAL_RULES
-
-RULE_DESCRIPTIONS = {
-    "banned-random": "ambient randomness outside util/rng.hh breaks "
-                     "seed-purity",
-    "banned-clock": "wall-clock reads in simulation code bypass the "
-                    "event clock",
-    "unordered-float-iter": "hash-order iteration feeding a float "
-                            "accumulation is not reproducible",
-    "fn-by-value": "by-value callable parameters pay a type-erased "
-                   "copy on every call",
-    "parfor-pushback": "push_back in a parallelFor body orders "
-                       "results by completion, not index",
-    "header-standalone": "every header under src/ must compile on "
-                         "its own",
-    "dangling-capture":
-        "by-reference lambda capture escapes into a deferred callback "
-        "sink while referencing locals of the enclosing frame",
-    "rng-discipline":
-        "RNG advance outside the approved slot-indexed patterns "
-        "(shared stream in parallelFor, by-value stream fork, "
-        "static stream, or std::*_distribution draw)",
-    "validate-coverage":
-        "config struct field missing from validate() or from its "
-        "FromConfig parse path",
-    "metrics-accounting":
-        "metrics counter incremented but never reported, or reported "
-        "but never incremented",
-}
 
 CXX_EXTENSIONS = (".cc", ".cpp", ".cxx", ".hh", ".h", ".hpp")
 HEADER_EXTENSIONS = (".hh", ".hpp", ".h")
@@ -252,14 +207,12 @@ CXX_KEYWORDS = frozenset({
 
 
 class Finding:
-    def __init__(self, path, line, rule, message, suppressed=False,
-                 baselined=False):
+    def __init__(self, path, line, rule, message, suppressed=False):
         self.path = path
         self.line = line
         self.rule = rule
         self.message = message
         self.suppressed = suppressed
-        self.baselined = baselined
 
     def as_dict(self):
         return {
@@ -268,15 +221,10 @@ class Finding:
             "rule": self.rule,
             "message": self.message,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
         }
 
     def render(self):
-        tag = ""
-        if self.suppressed:
-            tag = " (suppressed)"
-        elif self.baselined:
-            tag = " (baselined)"
+        tag = " (suppressed)" if self.suppressed else ""
         return "%s:%d: [%s]%s %s" % (self.path, self.line, self.rule,
                                      tag, self.message)
 
@@ -912,12 +860,6 @@ class FileCtx:
     def is_suppressed(self, lineno, rule):
         return (rule in self.allowed.get(lineno, ()) or
                 rule in self.allowed.get(lineno - 1, ()))
-
-    def line_text(self, lineno):
-        lines = self.text.splitlines()
-        if 1 <= lineno <= len(lines):
-            return lines[lineno - 1]
-        return ""
 
 
 def in_determinism_scope(rel):
@@ -1679,160 +1621,6 @@ def check_metrics_accounting(ctxs, scope_rels, findings):
 
 
 # ---------------------------------------------------------------------
-# Optional libclang refinement
-# ---------------------------------------------------------------------
-
-def libclang_available():
-    try:
-        from clang import cindex
-        cindex.Index.create()
-        return True
-    except Exception:
-        return False
-
-
-def compile_flags(compile_commands):
-    """(compiler, default_flags, flags_by_file) from
-    compile_commands.json, keeping -std/-I/-isystem/-D. The compiler and
-    default_flags come from the first entry and serve files without one
-    of their own, such as headers."""
-    compiler, default_flags, flags_by_file = "c++", ["-std=c++20"], {}
-    for entry in compile_commands or []:
-        args = entry.get("arguments") or entry.get("command", "").split()
-        if not args:
-            continue
-        keep = [a for a in args[1:]
-                if a.startswith(("-std", "-I", "-isystem", "-D"))]
-        if not flags_by_file:
-            compiler, default_flags = args[0], keep
-        flags_by_file[os.path.abspath(entry.get("file", ""))] = keep
-    return compiler, default_flags, flags_by_file
-
-
-CALLABLE_TYPES = ("function<", "InlineFunction<", "InlineCallback")
-
-
-def libclang_refine(findings, ctx_by_rel, default_flags, flags_by_file):
-    """Confirm two rules with the real AST: keep fn-by-value findings
-    only on lines declaring a by-value callable parameter, and drop
-    rng-discipline advance findings whose receiver resolves to a
-    non-Rng type. Best effort — a file that fails to parse keeps its
-    structural findings as-is."""
-    try:
-        from clang import cindex
-        index = cindex.Index.create()
-    except Exception:
-        return findings
-
-    refined_rules = ("fn-by-value", "rng-discipline")
-    ast_lines = {}  # rel -> {rule: confirmed lines}
-    for rel in sorted({f.path for f in findings
-                       if f.rule in refined_rules}):
-        ctx = ctx_by_rel[rel]
-        flags = flags_by_file.get(os.path.abspath(ctx.path),
-                                  default_flags)
-        try:
-            tu = index.parse(ctx.path, args=flags)
-        except Exception:
-            continue
-        lines = {rule: set() for rule in refined_rules}
-
-        def visit(node):
-            try:
-                if node.location.file and \
-                        os.path.samefile(str(node.location.file),
-                                         ctx.path):
-                    t = node.type.spelling
-                    if node.kind == cindex.CursorKind.PARM_DECL and \
-                            any(c in t for c in CALLABLE_TYPES) and \
-                            "&" not in t:
-                        lines["fn-by-value"].add(node.location.line)
-                    elif node.kind == cindex.CursorKind.CALL_EXPR and \
-                            any("Rng" in child.type.spelling
-                                for child in node.get_children()):
-                        lines["rng-discipline"].add(node.location.line)
-            except Exception:
-                pass
-            for child in node.get_children():
-                visit(child)
-
-        try:
-            visit(tu.cursor)
-        except Exception:
-            continue
-        ast_lines[rel] = lines
-
-    refined = []
-    for f in findings:
-        lines = ast_lines.get(f.path)
-        # Distribution findings are type-independent; keep them.
-        if lines is not None and f.rule in refined_rules and \
-                "_distribution" not in f.message and \
-                f.line not in lines[f.rule]:
-            continue
-        refined.append(f)
-    return refined
-
-
-# ---------------------------------------------------------------------
-# Baseline
-# ---------------------------------------------------------------------
-
-def fingerprint(finding, line_text):
-    norm = re.sub(r"\s+", " ", line_text.strip())
-    digest = hashlib.sha1(
-        ("%s|%s|%s" % (finding.path, finding.rule, norm))
-        .encode("utf-8")).hexdigest()
-    return digest[:16]
-
-
-def load_baseline(path):
-    if not path or not os.path.exists(path):
-        return {}
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
-    counts = {}
-    for fp in data.get("fingerprints", []):
-        counts[fp] = counts.get(fp, 0) + 1
-    return counts
-
-
-def apply_baseline(findings, ctx_by_rel, counts):
-    remaining = dict(counts)
-    for f in findings:
-        if f.suppressed:
-            continue
-        ctx = ctx_by_rel.get(f.path)
-        if ctx is None:
-            continue
-        fp = fingerprint(f, ctx.line_text(f.line))
-        if remaining.get(fp, 0) > 0:
-            remaining[fp] -= 1
-            f.baselined = True
-
-
-def write_baseline(path, findings, ctx_by_rel):
-    fps = []
-    for f in findings:
-        if f.suppressed:
-            continue
-        ctx = ctx_by_rel.get(f.path)
-        if ctx is None:
-            continue
-        fps.append(fingerprint(f, ctx.line_text(f.line)))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({
-            "version": 1,
-            "tool": TOOL_NAME,
-            "note": "Findings fingerprinted here are reported but do "
-                    "not fail the build. Keep this empty: fix or "
-                    "justify with // accel-lint: allow(rule) instead.",
-            "fingerprints": sorted(fps),
-        }, fh, indent=2)
-        fh.write("\n")
-
-
-# ---------------------------------------------------------------------
 # Suppression audit
 # ---------------------------------------------------------------------
 
@@ -1893,6 +1681,24 @@ def collect_files(root, paths, excludes):
     return sorted(set(files))
 
 
+def compile_flags(build_dir):
+    """(compiler, flags) from the first entry of build_dir's
+    compile_commands.json, keeping -std/-I/-isystem/-D; c++ -std=c++20
+    without one."""
+    cc_path = os.path.join(build_dir, "compile_commands.json") \
+        if build_dir else None
+    if cc_path and os.path.exists(cc_path):
+        with open(cc_path, encoding="utf-8") as f:
+            for entry in json.load(f):
+                args = (entry.get("arguments") or
+                        entry.get("command", "").split())
+                if args:
+                    return args[0], [
+                        a for a in args[1:]
+                        if a.startswith(("-std", "-I", "-isystem", "-D"))]
+    return "c++", ["-std=c++20"]
+
+
 def main(argv):
     ap = argparse.ArgumentParser(
         prog="accel_analyze",
@@ -1907,30 +1713,15 @@ def main(argv):
                             " ".join(STRUCTURAL_PATHS)))
     ap.add_argument("-p", "--build-dir", default=None,
                     help="build dir containing compile_commands.json "
-                         "(compiler flags for header-standalone and "
-                         "the libclang frontend)")
+                         "(compiler flags for header-standalone)")
     ap.add_argument("--root", default=None,
                     help="repository root (default: two levels above "
                          "this script)")
     ap.add_argument("--json", dest="json_out", default=None,
                     help="write a machine-readable report here")
-    ap.add_argument("--sarif", dest="sarif_out", default=None,
-                    help="write a SARIF 2.1.0 report here")
     ap.add_argument("--rules", default=",".join(ALL_RULES),
                     help="comma-separated rule subset to run")
     ap.add_argument("--list-rules", action="store_true")
-    ap.add_argument("--frontend", default="auto",
-                    choices=("auto", "builtin", "libclang"),
-                    help="auto: libclang refinement of fn-by-value and "
-                         "rng-discipline when importable, else the "
-                         "built-in frontend alone; libclang: hard error "
-                         "when unavailable")
-    ap.add_argument("--baseline", default=None,
-                    help="baseline file (default: "
-                         "tools/analyze/baseline.json under --root; "
-                         "'none' disables)")
-    ap.add_argument("--update-baseline", action="store_true",
-                    help="rewrite the baseline from current findings")
     ap.add_argument("--audit-suppressions", action="store_true",
                     help="report stale allow() comments instead of "
                          "failing on findings")
@@ -1952,37 +1743,7 @@ def main(argv):
               ", ".join(sorted(unknown)), file=sys.stderr)
         return 2
 
-    use_libclang = False
-    if args.frontend == "libclang":
-        if not libclang_available():
-            print("accel-analyze: error: needs libclang: the clang "
-                  "Python bindings are not importable (pip install "
-                  "libclang, or apt install python3-clang). Refusing "
-                  "to silently degrade; use --frontend auto or "
-                  "builtin to run the structural frontend.",
-                  file=sys.stderr)
-            return 2
-        use_libclang = True
-    elif args.frontend == "auto":
-        use_libclang = libclang_available()
-        if not use_libclang:
-            print("accel-analyze: note: libclang unavailable; using "
-                  "the built-in structural frontend (fixture-pinned). "
-                  "Install the clang Python bindings for type-"
-                  "resolved refinement.", file=sys.stderr)
-
-    compile_commands = None
-    if args.build_dir:
-        cc_path = os.path.join(args.build_dir, "compile_commands.json")
-        if os.path.exists(cc_path):
-            with open(cc_path, encoding="utf-8") as f:
-                compile_commands = json.load(f)
-        elif use_libclang:
-            print("accel-analyze: warning: no compile_commands.json "
-                  "in %s; libclang parses with default flags"
-                  % args.build_dir, file=sys.stderr)
-    compiler, default_flags, flags_by_file = \
-        compile_flags(compile_commands)
+    compiler, flags = compile_flags(args.build_dir)
 
     # The fixture corpora are intentionally full of violations; never
     # analyze them as part of the real tree.
@@ -1999,7 +1760,6 @@ def main(argv):
     ctx_by_path = {p: FileCtx(root, p) for p in
                    sorted(set(token_files) | set(struct_files) |
                           set(scope_files))}
-    ctx_by_rel = {c.rel: c for c in ctx_by_path.values()}
     token_ctxs = [ctx_by_path[p] for p in token_files]
     struct_ctxs = [ctx_by_path[p] for p in struct_files]
     cross_ctxs = [ctx_by_path[p] for p in
@@ -2014,8 +1774,7 @@ def main(argv):
         headers = [c for c in token_ctxs
                    if c.rel.endswith(HEADER_EXTENSIONS) and
                    c.rel.startswith("src/")]
-        check_header_standalone(root, headers, compiler, default_flags,
-                                findings)
+        check_header_standalone(root, headers, compiler, flags, findings)
     if "dangling-capture" in rules:
         sinks = discover_sinks(cross_ctxs)
         for ctx in struct_ctxs:
@@ -2031,10 +1790,6 @@ def main(argv):
         agg = []
         check_metrics_accounting(cross_ctxs, scope_rels, agg)
         findings.extend(f for f in agg if f.path in struct_rels)
-
-    if use_libclang:
-        findings = libclang_refine(findings, ctx_by_rel, default_flags,
-                                   flags_by_file)
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     # One finding per (file, line, rule): distinct patterns for one
@@ -2076,38 +1831,14 @@ def main(argv):
                 f.write("\n")
         return 1 if stale else 0
 
-    baseline_path = args.baseline
-    if baseline_path is None:
-        baseline_path = os.path.join(root, "tools", "analyze",
-                                     "baseline.json")
-    if baseline_path == "none":
-        baseline_path = None
-
-    if args.update_baseline:
-        if not baseline_path:
-            print("accel-analyze: --update-baseline needs --baseline",
-                  file=sys.stderr)
-            return 2
-        write_baseline(baseline_path, findings, ctx_by_rel)
-        print("accel-analyze: baseline written to %s (%d entries)"
-              % (baseline_path,
-                 sum(1 for f in findings if not f.suppressed)))
-        return 0
-
-    counts = load_baseline(baseline_path)
-    apply_baseline(findings, ctx_by_rel, counts)
-
-    live = [f for f in findings
-            if not f.suppressed and not f.baselined]
+    live = [f for f in findings if not f.suppressed]
 
     for f in findings:
         print(f.render())
     print("accel-analyze: %d file(s) analyzed (token rules %d, "
-          "structural rules %d), %d finding(s), %d suppressed, "
-          "%d baselined"
+          "structural rules %d), %d finding(s), %d suppressed"
           % (len(checked), len(token_files), len(struct_files),
-             len(live), sum(1 for f in findings if f.suppressed),
-             sum(1 for f in findings if f.baselined)))
+             len(live), len(findings) - len(live)))
 
     if args.json_out:
         report = {
@@ -2115,19 +1846,12 @@ def main(argv):
             "tool": TOOL_NAME,
             "root": root,
             "rules": sorted(rules),
-            "frontend": "libclang" if use_libclang else "builtin",
             "checked_files": len(checked),
             "findings": [f.as_dict() for f in findings],
         }
         with open(args.json_out, "w", encoding="utf-8") as f:
             json.dump(report, f, indent=2)
             f.write("\n")
-
-    if args.sarif_out:
-        sarif = sarif_util.make_sarif(
-            TOOL_NAME, TOOL_VERSION, RULE_DESCRIPTIONS,
-            [f.as_dict() for f in findings], base_uri=root)
-        sarif_util.write_sarif(args.sarif_out, sarif)
 
     return 1 if live else 0
 
