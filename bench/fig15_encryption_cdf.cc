@@ -27,7 +27,9 @@ main()
     double g_star =
         profit.breakEvenSpeedup(model::ThreadingDesign::Sync,
                                 cs.publishedParams);
-    std::cout << "software AES cost Cb = " << fmtF(cb, 2)
+    std::cout << "Cache1 workload Cb (Table 6 kernel cycles per offload "
+                 "over mean encryption size) = "
+              << fmtF(cb, 2)
               << " cycles/B -> min AES-NI granularity for speedup > 1: "
               << fmtF(g_star, 1) << " B (paper: >= 1 B)\n";
     std::cout << "fraction of Cache1 encryptions above break-even: "

@@ -81,10 +81,11 @@ RequestSource::RequestSource(const WorkloadSpec &spec, std::uint64_t seed)
     }
 }
 
-Request
-RequestSource::next()
+void
+RequestSource::fill(Request &req)
 {
-    Request req;
+    req.segments.clear();
+    req.kernels.clear();
     double non_kernel = 0.0;
     if (spec_.nonKernelCyclesMean > 0) {
         non_kernel = spec_.nonKernelCv > 0
@@ -123,7 +124,6 @@ RequestSource::next()
         for (auto &k : req.kernels)
             k.afterSegment = 0;
     }
-    return req;
 }
 
 } // namespace accel::microsim

@@ -115,8 +115,12 @@ class RequestSource
   public:
     RequestSource(const WorkloadSpec &spec, std::uint64_t seed);
 
-    /** Draw the next request. */
-    Request next();
+    /**
+     * Draw the next request into @p req, replacing its contents but
+     * keeping its buffers' capacity, so a reused Request stops
+     * allocating once it has held the largest request.
+     */
+    void fill(Request &req);
 
     const WorkloadSpec &spec() const { return spec_; }
 

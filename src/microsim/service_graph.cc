@@ -572,24 +572,20 @@ ServiceGraph::onNodeCompletion(std::uint32_t node, std::uint64_t token,
     std::uint64_t tok = token;
     if (token == 0) {
         // A locally-originated request: it roots a fresh subtree.
-        tok = nextToken_++;
-        Call c;
-        c.node = node;
-        c.arrivedAt = arrivedAt;
-        c.issuedAt = arrivedAt;
-        c.serviceDone = true;
-        c.failed = failed;
+        Call root;
+        root.node = node;
+        root.arrivedAt = arrivedAt;
+        root.issuedAt = arrivedAt;
+        root.serviceDone = true;
+        root.failed = failed;
         if (rootDeadlineCycles_ > 0)
-            c.deadline = arrivedAt + static_cast<sim::Tick>(
-                             std::llround(rootDeadlineCycles_));
-        calls_.emplace(tok, c);
+            root.deadline = arrivedAt + static_cast<sim::Tick>(
+                                std::llround(rootDeadlineCycles_));
+        tok = calls_.acquire(root);
         ++metrics_.rootsStarted;
         ++metrics_.nodes[node].subtreesStarted;
     } else {
-        auto it = calls_.find(token);
-        ensure(it != calls_.end(),
-               "ServiceGraph: completion for an unknown call token");
-        Call &c = it->second;
+        Call &c = calls_.at(token);
         ensure(c.node == node,
                "ServiceGraph: call completed on wrong node");
         c.serviceDone = true;
@@ -706,22 +702,21 @@ ServiceGraph::deliver(std::size_t edge, std::uint64_t parentToken,
         return;
     }
     std::uint32_t callee = calleeIdx_[edge];
-    std::uint64_t tok = nextToken_++;
-    if (sims_[callee]->injectArrival(tok)) {
-        Call c;
-        c.node = callee;
-        c.arrivedAt = eq_->now();
-        c.issuedAt = issuedAt;
-        c.parentToken = parentToken;
-        c.viaEdge = static_cast<std::int32_t>(edge);
-        c.deadline = deadline;
-        c.chainId = chainId;
-        c.attemptNo = attemptNo;
-        calls_.emplace(tok, c);
+    Call c;
+    c.node = callee;
+    c.arrivedAt = eq_->now();
+    c.issuedAt = issuedAt;
+    c.parentToken = parentToken;
+    c.viaEdge = static_cast<std::int32_t>(edge);
+    c.deadline = deadline;
+    c.chainId = chainId;
+    c.attemptNo = attemptNo;
+    std::uint64_t tok = calls_.acquire(c);
+    if (sims_[callee]->injectArrival(tok))
         return;
-    }
-    // Shed at the callee's admission queue: the call never ran. A shed
-    // zombie has nobody to notify.
+    // Shed at the callee's admission queue: the call never ran, so its
+    // slot goes straight back. A shed zombie has nobody to notify.
+    calls_.release(tok);
     if (chainId != 0 && !chain)
         return;
     ++metrics_.edges[edge].callsShed;
@@ -745,9 +740,7 @@ ServiceGraph::deliver(std::size_t edge, std::uint64_t parentToken,
 void
 ServiceGraph::maybeFinishCall(std::uint64_t token)
 {
-    auto it = calls_.find(token);
-    ensure(it != calls_.end(), "maybeFinishCall: unknown token");
-    Call &c = it->second;
+    Call &c = calls_.at(token);
     if (!c.serviceDone || c.pendingChildren > 0)
         return;
     sim::Tick now = eq_->now();
@@ -766,7 +759,7 @@ ServiceGraph::maybeFinishCall(std::uint64_t token)
             ++metrics_.rootsDegraded;
         metrics_.rootLatencyCycles.add(
             static_cast<double>(now - c.arrivedAt));
-        calls_.erase(it);
+        calls_.release(token);
         return;
     }
     size_t e = static_cast<size_t>(c.viaEdge);
@@ -776,7 +769,7 @@ ServiceGraph::maybeFinishCall(std::uint64_t token)
     std::uint64_t chainId = c.chainId;
     std::uint32_t attemptNo = c.attemptNo;
     sim::Tick issued = c.issuedAt;
-    calls_.erase(it);
+    calls_.release(token);
     // A sync response pays the return hop, then joins at the caller. An
     // async caller joined long ago, so its response only closes the
     // edge's books at once: failures are counted, never propagated.
@@ -820,9 +813,7 @@ void
 ServiceGraph::settleChild(std::uint64_t parentToken, bool childFailed,
                           bool childDegraded)
 {
-    auto it = calls_.find(parentToken);
-    ensure(it != calls_.end(), "settleChild: unknown parent call");
-    Call &p = it->second;
+    Call &p = calls_.at(parentToken);
     ensure(p.pendingChildren > 0, "settleChild: no pending children");
     --p.pendingChildren;
     if (childFailed)
@@ -850,12 +841,12 @@ ServiceGraph::drawEdgeLatency(std::size_t edge)
 ServiceGraph::EdgeCall *
 ServiceGraph::liveChain(std::uint64_t chainId, std::uint32_t attemptNo)
 {
-    if (chainId == 0)
-        return nullptr; // a plain call has no chain
-    auto it = chains_.find(chainId);
-    if (it == chains_.end() || it->second.attempt != attemptNo)
+    // A plain call has no chain (handle 0); a settled chain's handle is
+    // stale.
+    EdgeCall *ec = chains_.find(chainId);
+    if (ec == nullptr || ec->attempt != attemptNo)
         return nullptr;
-    return &it->second;
+    return ec;
 }
 
 void
@@ -872,14 +863,13 @@ ServiceGraph::startChain(std::size_t edge, std::uint64_t parentToken,
                     /*childDegraded=*/true);
         return;
     }
-    std::uint64_t id = nextChainId_++;
     EdgeCall ec;
     ec.edge = edge;
     ec.parentToken = parentToken;
     ec.issuedAt = eq_->now();
     ec.deadline = parentDeadline;
     ec.probe = gate.probe;
-    chains_.emplace(id, ec);
+    std::uint64_t id = chains_.acquire(ec);
     ++metrics_.edges[edge].callsIssued;
     if (gate.probe)
         ++metrics_.edges[edge].breakerProbes;
@@ -889,9 +879,7 @@ ServiceGraph::startChain(std::size_t edge, std::uint64_t parentToken,
 void
 ServiceGraph::startAttempt(std::uint64_t chainId)
 {
-    auto it = chains_.find(chainId);
-    ensure(it != chains_.end(), "startAttempt: unknown chain");
-    EdgeCall &ec = it->second;
+    EdgeCall &ec = chains_.at(chainId);
     const EdgeConfig &cfg = edges_[ec.edge];
     sim::Tick now = eq_->now();
 
@@ -948,19 +936,16 @@ ServiceGraph::startAttempt(std::uint64_t chainId)
 void
 ServiceGraph::onAttemptTimeout(std::uint64_t chainId)
 {
-    auto it = chains_.find(chainId);
-    ensure(it != chains_.end(), "onAttemptTimeout: unknown chain");
-    it->second.timer = sim::kInvalidTimer;
-    ++metrics_.edges[it->second.edge].attemptsTimedOut;
+    EdgeCall &ec = chains_.at(chainId);
+    ec.timer = sim::kInvalidTimer;
+    ++metrics_.edges[ec.edge].attemptsTimedOut;
     retryOrFail(chainId);
 }
 
 void
 ServiceGraph::retryOrFail(std::uint64_t chainId)
 {
-    auto it = chains_.find(chainId);
-    ensure(it != chains_.end(), "retryOrFail: unknown chain");
-    EdgeCall &ec = it->second;
+    EdgeCall &ec = chains_.at(chainId);
     const EdgeConfig &cfg = edges_[ec.edge];
     if (ec.deadline != faults::kNeverTick &&
         eq_->now() >= ec.deadline) {
@@ -990,10 +975,8 @@ void
 ServiceGraph::settleChain(std::uint64_t chainId, ChainOutcome outcome,
                           bool childFailed, bool childDegraded)
 {
-    auto it = chains_.find(chainId);
-    ensure(it != chains_.end(), "settleChain: unknown chain");
-    EdgeCall ec = it->second;
-    chains_.erase(it);
+    EdgeCall ec = chains_.at(chainId);
+    chains_.release(chainId);
     if (ec.timer != sim::kInvalidTimer)
         eq_->cancelTimer(ec.timer);
     const EdgeConfig &cfg = edges_[ec.edge];

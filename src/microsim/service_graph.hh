@@ -34,12 +34,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "faults/edge_fault_plan.hh"
 #include "microsim/service_spec.hh"
 #include "stats/reservoir.hh"
+#include "util/slot_pool.hh"
 
 namespace accel::microsim {
 
@@ -356,8 +356,10 @@ class ServiceGraph
     };
 
     /**
-     * One in-flight subtree: a root request or one RPC call, keyed by
-     * its token. Erased at join (or at async completion).
+     * One in-flight subtree: a root request or one RPC call. Its
+     * calls_ handle is the token its node carries (injectArrival);
+     * released at join (or at async completion), or at once when the
+     * callee sheds the call.
      */
     struct Call
     {
@@ -372,7 +374,7 @@ class ServiceGraph
         std::uint32_t pendingChildren = 0; //!< outstanding sync joins
         /** Absolute deadline; kNeverTick = no budget. */
         sim::Tick deadline = faults::kNeverTick;
-        /** Owning edge-call chain (resilient edges); 0 = none. */
+        /** Owning edge-call chain's handle (resilient edges); 0 = none. */
         std::uint64_t chainId = 0;
         /** Attempt that delivered this call (stale-response filter). */
         std::uint32_t attemptNo = 0;
@@ -382,8 +384,8 @@ class ServiceGraph
      * One logical call on a resilient edge: the caller-side chain of
      * attempts racing timeouts, retries, and the deadline budget.
      * Settles exactly once (success / degraded / failed), which joins
-     * the parent; erased at settlement, so a chain lookup miss means
-     * the response belongs to an abandoned attempt.
+     * the parent; released at settlement, so a stale chain handle
+     * means the response belongs to an abandoned attempt.
      */
     struct EdgeCall
     {
@@ -455,12 +457,10 @@ class ServiceGraph
     std::vector<std::vector<std::size_t>> outEdges_;
     std::vector<std::uint32_t> calleeIdx_;
     std::vector<Rng> edgeRngs_;
-    /** Token -> in-flight subtree; lookup/erase only, never iterated. */
-    std::unordered_map<std::uint64_t, Call> calls_;
-    /** Chain id -> in-flight resilient edge call; erased at settle. */
-    std::unordered_map<std::uint64_t, EdgeCall> chains_;
-    std::uint64_t nextToken_ = 1;
-    std::uint64_t nextChainId_ = 1;
+    /** In-flight subtrees; a handle is the call's token. */
+    SlotPool<Call> calls_;
+    /** In-flight resilient edge calls; a handle is the chain id. */
+    SlotPool<EdgeCall> chains_;
     /** Per-edge slot counters for the fault plans' slot-indexed draws. */
     std::vector<std::uint64_t> edgeFaultSeq_;
     /** Per-edge retry-budget token levels. */

@@ -185,12 +185,12 @@ ServiceSim::admitArrival(std::uint64_t token)
     bool overload = false;
     std::uint64_t gate = autoscaler_ ? autoscaler_->admissionLimit() : 0;
     if (cfg_.maxArrivalQueue > 0 &&
-        arrivals_.size() >= cfg_.maxArrivalQueue) {
+        arrivalCount_ >= cfg_.maxArrivalQueue) {
         // Load shedding: the bounded admission queue is full, so the
         // arrival is rejected instead of queued. This is what keeps a
         // saturated open-loop run in constant memory.
         shed = true;
-    } else if (gate > 0 && arrivals_.size() >= gate) {
+    } else if (gate > 0 && arrivalCount_ >= gate) {
         // Brown-out: the adaptive gate has tightened below the static
         // bound, shedding early so admitted requests keep a bounded
         // queue — attributed separately as overload degradation.
@@ -205,11 +205,20 @@ ServiceSim::admitArrival(std::uint64_t token)
             autoscaler_->noteShed();
         return false;
     }
-    arrivals_.push_back(PendingArrival{source_.next(), eq_.now(), token});
+    if (arrivalCount_ == arrivals_.size())
+        growArrivals();
+    size_t tail = arrivalHead_ + arrivalCount_;
+    if (tail >= arrivals_.size())
+        tail -= arrivals_.size();
+    PendingArrival &slot = arrivals_[tail];
+    source_.fill(slot.req);
+    slot.arrived = eq_.now();
+    slot.token = token;
+    ++arrivalCount_;
     metrics_.maxArrivalQueueDepth = std::max<std::uint64_t>(
-        metrics_.maxArrivalQueueDepth, arrivals_.size());
+        metrics_.maxArrivalQueueDepth, arrivalCount_);
     if (autoscaler_)
-        autoscaler_->noteQueueDepth(arrivals_.size());
+        autoscaler_->noteQueueDepth(arrivalCount_);
     if (!idleThreads_.empty()) {
         size_t tid = idleThreads_.back();
         idleThreads_.pop_back();
@@ -218,6 +227,17 @@ ServiceSim::admitArrival(std::uint64_t token)
         makeReady(tid, [this, tid]() { startNextRequest(tid); });
     }
     return true;
+}
+
+void
+ServiceSim::growArrivals()
+{
+    const size_t size = arrivals_.size();
+    std::vector<PendingArrival> grown(std::max<size_t>(8, 2 * size));
+    for (size_t i = 0; i < size; ++i)
+        grown[i] = std::move(arrivals_[(arrivalHead_ + i) % size]);
+    arrivals_ = std::move(grown);
+    arrivalHead_ = 0;
 }
 
 // --------------------------------------------------------------------
@@ -348,7 +368,7 @@ ServiceSim::startNextRequest(size_t tid)
     sim::Tick started = eq_.now();
     std::uint64_t token = 0;
     if (openLoop_) {
-        if (arrivals_.empty()) {
+        if (arrivalCount_ == 0) {
             // Nothing to do: park until an arrival wakes us.
             ctx.state = ThreadState::Idle;
             if (ctx.core >= 0) {
@@ -358,20 +378,22 @@ ServiceSim::startNextRequest(size_t tid)
             idleThreads_.push_back(tid);
             return;
         }
-        PendingArrival next = std::move(arrivals_.front());
-        arrivals_.pop_front();
-        ctx.req = std::move(next.req);
+        PendingArrival &next = arrivals_[arrivalHead_];
+        // The slot takes the thread's old buffers for its next fill.
+        std::swap(ctx.req, next.req);
         // Latency is measured from arrival, so queueing time counts.
         started = next.arrived;
         token = next.token;
+        if (++arrivalHead_ == arrivals_.size())
+            arrivalHead_ = 0;
+        --arrivalCount_;
     } else {
-        ctx.req = source_.next();
+        source_.fill(ctx.req);
     }
     ctx.kernelIdx = 0;
     ctx.segmentIdx = 0;
-    ctx.inflight = std::make_shared<InFlight>();
-    ctx.inflight->start = started;
-    ctx.inflight->token = token;
+    ctx.inflight =
+        inflight_.acquire(InFlight{.start = started, .token = token});
     maybeNext(tid);
 }
 
@@ -423,7 +445,7 @@ ServiceSim::handleKernel(size_t tid)
         // Breaker open: revert the kernel to host execution.
         ++metrics_.breakerFallbacks;
         metrics_.fallbackHostCycles += k.hostCycles;
-        ctx.inflight->degraded = true;
+        inflight_.at(ctx.inflight).degraded = true;
         runOnCore(tid, k.hostCycles,
                   [this, tid]() { maybeNext(tid); }, k.tag);
         return;
@@ -452,7 +474,7 @@ void
 ServiceSim::finishHostWork(size_t tid)
 {
     ThreadCtx &ctx = threads_[tid];
-    ctx.inflight->hostDone = true;
+    inflight_.at(ctx.inflight).hostDone = true;
     maybeCompleteRequest(ctx.inflight,
                          cfg_.design == ThreadingDesign::AsyncNoResponse &&
                              cfg_.strategy == Strategy::Remote);
@@ -460,17 +482,23 @@ ServiceSim::finishHostWork(size_t tid)
 }
 
 void
-ServiceSim::maybeCompleteRequest(const std::shared_ptr<InFlight> &inflight,
+ServiceSim::maybeCompleteRequest(InFlightHandle inflight,
                                  bool remoteExcluded)
 {
+    InFlight &live = inflight_.at(inflight);
     // Service-local latency: remote no-response offloads do not hold the
     // request open (their time lands on the application's end-to-end
     // path instead).
-    bool service_done = inflight->hostDone &&
-        (remoteExcluded || inflight->pendingKernels == 0);
-    if (service_done && !inflight->counted) {
-        inflight->counted = true;
-        double latency = static_cast<double>(eq_.now() - inflight->start);
+    bool service_done = live.hostDone &&
+        (remoteExcluded || live.pendingKernels == 0);
+    bool newly_counted = service_done && !live.counted;
+    if (newly_counted)
+        live.counted = true;
+    // A copy: the completion hook below runs graph code, and no
+    // reference into the pool may be held across it.
+    const InFlight f = live;
+    if (newly_counted) {
+        double latency = static_cast<double>(eq_.now() - f.start);
         // The control loop keeps its in-flight samples across the
         // warmup reset: scaling decisions are live from tick 0.
         if (autoscaler_)
@@ -478,24 +506,24 @@ ServiceSim::maybeCompleteRequest(const std::shared_ptr<InFlight> &inflight,
         ++metrics_.requestsCompleted;
         metrics_.latencyCycles.add(latency);
         metrics_.latencySample.add(latency);
-        if (inflight->degraded) {
+        if (f.degraded) {
             ++metrics_.requestsDegraded;
             metrics_.degradedLatencyCycles.add(latency);
             metrics_.degradedLatencySample.add(latency);
         }
-        if (inflight->failed)
+        if (f.failed)
             ++metrics_.requestsFailed;
         // The graph hook sees every completion; the graph resets its
         // own counters at the warmup tick, after this node's.
-        if (completionHook_) {
-            completionHook_(inflight->token, inflight->start,
-                            inflight->failed);
-        }
+        if (completionHook_)
+            completionHook_(f.token, f.start, f.failed);
     }
-    if (inflight->hostDone && inflight->pendingKernels == 0 &&
-        inflight->counted) {
+    if (f.hostDone && f.pendingKernels == 0 && f.counted) {
         metrics_.endToEndLatencyCycles.add(
-            static_cast<double>(eq_.now() - inflight->start));
+            static_cast<double>(eq_.now() - f.start));
+        // Counted with nothing pending: no callback can name the
+        // request any more, so its slot goes back to the pool.
+        inflight_.release(inflight);
     }
 }
 
@@ -575,8 +603,8 @@ ServiceSim::offloadAsync(size_t tid, const KernelInvocation &k,
     bool tracks_outstanding =
         cfg_.design != ThreadingDesign::AsyncNoResponse;
 
-    std::shared_ptr<InFlight> inflight = ctx.inflight;
-    ++inflight->pendingKernels;
+    InFlightHandle inflight = ctx.inflight;
+    ++inflight_.at(inflight).pendingKernels;
     if (tracks_outstanding)
         ++ctx.outstanding;
 
@@ -612,14 +640,12 @@ ServiceSim::offloadAsync(size_t tid, const KernelInvocation &k,
 }
 
 void
-ServiceSim::onAsyncResponse(size_t tid,
-                            const std::shared_ptr<InFlight> &inflight)
+ServiceSim::onAsyncResponse(size_t tid, InFlightHandle inflight)
 {
     ThreadCtx &ctx = threads_[tid];
-    ensure(inflight->pendingKernels > 0,
-           "onAsyncResponse: no pending kernels");
-    --inflight->pendingKernels;
-    inflight->lastResponse = eq_.now();
+    InFlight &f = inflight_.at(inflight);
+    ensure(f.pendingKernels > 0, "onAsyncResponse: no pending kernels");
+    --f.pendingKernels;
 
     bool no_response = cfg_.design == ThreadingDesign::AsyncNoResponse;
     if (!no_response) {
@@ -650,7 +676,7 @@ ServiceSim::onAsyncResponse(size_t tid,
 void
 ServiceSim::dispatchResilient(size_t tid, const KernelInvocation &k,
                               bool transferPaidByHost, bool probe,
-                              const std::shared_ptr<InFlight> &inflight,
+                              InFlightHandle inflight,
                               sim::InlineFunction<void(OffloadOutcome)> &&resolve)
 {
     if (!resilienceActive()) {
@@ -681,8 +707,7 @@ ServiceSim::backoffTicks(std::uint32_t attempt) const
 void
 ServiceSim::issueAttempt(size_t tid, const KernelInvocation &k,
                          bool transferPaidByHost, std::uint32_t attempt,
-                         bool probe,
-                         const std::shared_ptr<InFlight> &inflight,
+                         bool probe, InFlightHandle inflight,
                          sim::InlineFunction<void(OffloadOutcome)> &&resolve)
 {
     auto state = std::make_shared<AttemptState>();
@@ -712,7 +737,7 @@ ServiceSim::issueAttempt(size_t tid, const KernelInvocation &k,
             ensure(!state->settled,
                    "issueAttempt: deadline fired after settlement");
             state->settled = true;
-            inflight->degraded = true;
+            inflight_.at(inflight).degraded = true;
             ++metrics_.offloadTimeouts;
             timeoutWarner_.warn(
                 "thread " + std::to_string(tid) + " attempt " +
@@ -745,7 +770,7 @@ ServiceSim::issueAttempt(size_t tid, const KernelInvocation &k,
                 state->resolve(OffloadOutcome::HostFallback);
             } else {
                 ++metrics_.offloadsAbandoned;
-                inflight->failed = true;
+                inflight_.at(inflight).failed = true;
                 state->resolve(OffloadOutcome::Abandoned);
             }
         });

@@ -41,6 +41,7 @@
 #include "model/params.hh"
 #include "sim/event_queue.hh"
 #include "util/logging.hh"
+#include "util/slot_pool.hh"
 
 namespace accel::microsim {
 
@@ -216,7 +217,11 @@ class ServiceSim
 
     enum class ThreadState { Ready, Running, Blocked, Idle, Parked };
 
-    /** Per-request completion tracking shared with response callbacks. */
+    /**
+     * Per-request completion tracking, kept in inflight_ and named by
+     * its handle in response callbacks. Released once the request is
+     * counted with no kernel pending (maybeCompleteRequest).
+     */
     struct InFlight
     {
         sim::Tick start = 0;
@@ -227,10 +232,10 @@ class ServiceSim
         bool degraded = false;
         /** A kernel was abandoned: completed without a result. */
         bool failed = false;
-        sim::Tick lastResponse = 0;
         /** Injection token (graph RPC); 0 = locally generated. */
         std::uint64_t token = 0;
     };
+    using InFlightHandle = SlotPool<InFlight>::Handle;
 
     struct ThreadCtx
     {
@@ -238,7 +243,8 @@ class ServiceSim
         Request req;
         size_t kernelIdx = 0;
         size_t segmentIdx = 0;
-        std::shared_ptr<InFlight> inflight;
+        /** The request being worked on; stale once it completes. */
+        InFlightHandle inflight = 0;
         std::uint32_t outstanding = 0;
         bool blockedOnOutstanding = false;
         bool needsSwitchIn = false;
@@ -263,14 +269,25 @@ class ServiceSim
     std::deque<size_t> readyQueue_;
     std::uint32_t freeCores_ = 0;
 
+    /** Every request still in flight, by handle. */
+    SlotPool<InFlight> inflight_;
+
     // --- open-loop arrivals ---
     struct PendingArrival
     {
         Request req;
-        sim::Tick arrived;
+        sim::Tick arrived = 0;
         std::uint64_t token = 0; //!< graph RPC token; 0 = local
     };
-    std::deque<PendingArrival> arrivals_;
+    /**
+     * FIFO ring of admitted arrivals: arrivalCount_ entries from
+     * arrivalHead_, wrapping. Slots keep their request buffers; a
+     * dequeue swaps them with the thread's, so a steady stream of
+     * arrivals reuses capacity instead of allocating.
+     */
+    std::vector<PendingArrival> arrivals_;
+    size_t arrivalHead_ = 0;
+    size_t arrivalCount_ = 0;
     std::vector<size_t> idleThreads_;
     Rng arrivalRng_;
     double cyclesPerArrival_ = 0.0; //!< mean candidate gap (peak rate)
@@ -290,6 +307,8 @@ class ServiceSim
      * @return false when the arrival was shed.
      */
     bool admitArrival(std::uint64_t token);
+    /** Double the arrival ring, keeping order and every slot's buffers. */
+    void growArrivals();
 
     // --- response-pickup accounting pool (see DESIGN.md) ---
     double pendingStolenCycles_ = 0.0;
@@ -321,15 +340,13 @@ class ServiceSim
     void execSegment(size_t tid);
     void handleKernel(size_t tid);
     void finishHostWork(size_t tid);
-    void maybeCompleteRequest(const std::shared_ptr<InFlight> &inflight,
-                              bool remoteExcluded);
+    void maybeCompleteRequest(InFlightHandle inflight, bool remoteExcluded);
 
     // --- offload paths ---
     void offloadSync(size_t tid, const KernelInvocation &k, bool probe);
     void offloadSyncOS(size_t tid, const KernelInvocation &k, bool probe);
     void offloadAsync(size_t tid, const KernelInvocation &k, bool probe);
-    void onAsyncResponse(size_t tid,
-                         const std::shared_ptr<InFlight> &inflight);
+    void onAsyncResponse(size_t tid, InFlightHandle inflight);
 
     // --- degraded-mode offload (deadline, retry, breaker) ---
 
@@ -358,13 +375,12 @@ class ServiceSim
      */
     void dispatchResilient(size_t tid, const KernelInvocation &k,
                            bool transferPaidByHost, bool probe,
-                           const std::shared_ptr<InFlight> &inflight,
+                           InFlightHandle inflight,
                            sim::InlineFunction<void(OffloadOutcome)> &&resolve);
 
     void issueAttempt(size_t tid, const KernelInvocation &k,
                       bool transferPaidByHost, std::uint32_t attempt,
-                      bool probe,
-                      const std::shared_ptr<InFlight> &inflight,
+                      bool probe, InFlightHandle inflight,
                       sim::InlineFunction<void(OffloadOutcome)> &&resolve);
 
     sim::Tick backoffTicks(std::uint32_t attempt) const;

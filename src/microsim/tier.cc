@@ -160,6 +160,7 @@ AcceleratorTier::AcceleratorTier(sim::EventQueue &eq,
         replicas_.push_back(std::make_unique<Accelerator>(eq_, rc));
     }
     health_.resize(cfg_.replicas);
+    candidates_.reserve(cfg_.replicas);
     outstanding_.assign(cfg_.replicas, 0);
     stats_.replicas.resize(cfg_.replicas);
     capacityOriginTick_ = eq_.now();
@@ -398,37 +399,36 @@ AcceleratorTier::pickReplica(size_t exclude, bool *isProbe)
     // and the watchdogs keep charging failures. Draining and standby
     // replicas are never candidates, even then: scaled-down capacity
     // must not absorb new work, or drains would never settle.
-    std::vector<size_t> candidates;
-    candidates.reserve(health_.size());
+    candidates_.clear();
     for (size_t r = 0; r < health_.size(); ++r) {
         if (r == exclude)
             continue;
         if (health_[r].state == ReplicaState::Healthy)
-            candidates.push_back(r);
+            candidates_.push_back(r);
     }
-    if (candidates.empty()) {
+    if (candidates_.empty()) {
         for (size_t r = 0; r < health_.size(); ++r) {
             if (r == exclude ||
                 health_[r].state == ReplicaState::Draining ||
                 health_[r].state == ReplicaState::Standby)
                 continue;
-            candidates.push_back(r);
+            candidates_.push_back(r);
         }
     }
-    if (candidates.empty())
+    if (candidates_.empty())
         return kNoReplica;
-    if (candidates.size() == 1)
-        return candidates.front();
+    if (candidates_.size() == 1)
+        return candidates_.front();
 
     switch (cfg_.policy) {
     case DispatchPolicy::RoundRobin: {
-        size_t pick = candidates[rrCursor_ % candidates.size()];
+        size_t pick = candidates_[rrCursor_ % candidates_.size()];
         ++rrCursor_;
         return pick;
     }
     case DispatchPolicy::LeastOutstanding: {
-        size_t best = candidates.front();
-        for (size_t r : candidates) {
+        size_t best = candidates_.front();
+        for (size_t r : candidates_) {
             if (outstanding_[r] < outstanding_[best])
                 best = r; // ties keep the lowest index
         }
@@ -440,16 +440,16 @@ AcceleratorTier::pickReplica(size_t exclude, bool *isProbe)
         // cannot shift it.
         Rng rng(slotSeed(cfg_.seed, dispatchIndex_), kDispatchStream);
         ++dispatchIndex_;
-        size_t a = candidates[rng.below(
-            static_cast<std::uint32_t>(candidates.size()))];
-        size_t b = candidates[rng.below(
-            static_cast<std::uint32_t>(candidates.size()))];
+        size_t a = candidates_[rng.below(
+            static_cast<std::uint32_t>(candidates_.size()))];
+        size_t b = candidates_[rng.below(
+            static_cast<std::uint32_t>(candidates_.size()))];
         if (outstanding_[b] < outstanding_[a])
             return b;
         return a; // ties keep the first draw
     }
     }
-    return candidates.front();
+    return candidates_.front();
 }
 
 void

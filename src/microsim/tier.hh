@@ -339,6 +339,8 @@ class AcceleratorTier
     std::vector<std::uint64_t> outstanding_;
     std::uint64_t rrCursor_ = 0;      //!< round-robin rotation state
     std::uint64_t dispatchIndex_ = 0; //!< slot index for p2c draws
+    /** pickReplica's scratch list, kept so a pick allocates nothing. */
+    std::vector<size_t> candidates_;
     TierStats stats_;
 
     // Lazily-integrated capacity: accumulated provisioned-replica

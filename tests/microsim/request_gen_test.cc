@@ -28,6 +28,33 @@ spec()
     return s;
 }
 
+/** The next request from @p src, drawn into a fresh Request. */
+Request
+draw(RequestSource &src)
+{
+    Request r;
+    src.fill(r);
+    return r;
+}
+
+void
+expectSameRequest(const Request &got, const Request &want)
+{
+    ASSERT_EQ(got.segments.size(), want.segments.size());
+    for (size_t i = 0; i < want.segments.size(); ++i) {
+        EXPECT_EQ(got.segments[i].cycles, want.segments[i].cycles);
+        EXPECT_EQ(got.segments[i].tag, want.segments[i].tag);
+    }
+    ASSERT_EQ(got.kernels.size(), want.kernels.size());
+    for (size_t k = 0; k < want.kernels.size(); ++k) {
+        EXPECT_EQ(got.kernels[k].bytes, want.kernels[k].bytes);
+        EXPECT_EQ(got.kernels[k].hostCycles, want.kernels[k].hostCycles);
+        EXPECT_EQ(got.kernels[k].tag, want.kernels[k].tag);
+        EXPECT_EQ(got.kernels[k].afterSegment,
+                  want.kernels[k].afterSegment);
+    }
+}
+
 TEST(WorkloadSpec, ValidationRules)
 {
     EXPECT_NO_THROW(spec().validate());
@@ -63,7 +90,7 @@ TEST(RequestSource, DeterministicRequests)
 {
     RequestSource a(spec(), 42), b(spec(), 42);
     for (int i = 0; i < 20; ++i) {
-        Request ra = a.next(), rb = b.next();
+        Request ra = draw(a), rb = draw(b);
         EXPECT_DOUBLE_EQ(ra.nonKernelCycles(), rb.nonKernelCycles());
         ASSERT_EQ(ra.kernels.size(), rb.kernels.size());
         for (size_t k = 0; k < ra.kernels.size(); ++k)
@@ -75,7 +102,7 @@ TEST(RequestSource, KernelCyclesFollowGranularity)
 {
     RequestSource src(spec(), 7);
     for (int i = 0; i < 100; ++i) {
-        Request r = src.next();
+        Request r = draw(src);
         ASSERT_EQ(r.kernels.size(), 2u);
         for (const auto &k : r.kernels) {
             EXPECT_GE(k.bytes, 100);
@@ -89,7 +116,7 @@ TEST(RequestSource, ZeroCvMakesDeterministicNonKernel)
 {
     RequestSource src(spec(), 7);
     for (int i = 0; i < 10; ++i)
-        EXPECT_DOUBLE_EQ(src.next().nonKernelCycles(), 5000);
+        EXPECT_DOUBLE_EQ(draw(src).nonKernelCycles(), 5000);
 }
 
 TEST(RequestSource, LogNormalPreservesMean)
@@ -100,14 +127,14 @@ TEST(RequestSource, LogNormalPreservesMean)
     double sum = 0;
     const int n = 50000;
     for (int i = 0; i < n; ++i)
-        sum += src.next().nonKernelCycles();
+        sum += draw(src).nonKernelCycles();
     EXPECT_NEAR(sum / n, 5000, 50);
 }
 
 TEST(RequestSource, TotalHostCycles)
 {
     RequestSource src(spec(), 9);
-    Request r = src.next();
+    Request r = draw(src);
     double expected = r.nonKernelCycles();
     for (const auto &k : r.kernels)
         expected += k.hostCycles;
@@ -119,9 +146,35 @@ TEST(RequestSource, SuperLinearKernelCycles)
     WorkloadSpec s = spec();
     s.beta = 2.0;
     RequestSource src(s, 10);
-    Request r = src.next();
+    Request r = draw(src);
     for (const auto &k : r.kernels)
         EXPECT_DOUBLE_EQ(k.hostCycles, 4.0 * k.bytes * k.bytes);
+}
+
+TEST(RequestSource, FillMatchesFreshDraws)
+{
+    // A tagged template (three segments, kernels after the first) and
+    // the default slicing (kernelsPerRequest + 1 even slices), both
+    // with log-normal non-kernel work, so every draw kind is covered.
+    WorkloadSpec tagged = spec();
+    tagged.nonKernelCv = 0.5;
+    tagged.kernelsPerRequest = 1;
+    tagged.kernelTag = 7;
+    tagged.segmentTemplate = {{1.0, 1}, {2.0, 2}, {3.0, 3}};
+    WorkloadSpec sliced = spec();
+    sliced.nonKernelCv = 0.5;
+    sliced.kernelsPerRequest = 3;
+
+    // One Request reused across both specs: each fill must replace
+    // what the previous one left, whatever its shape.
+    Request reused;
+    for (const WorkloadSpec &s : {tagged, sliced, tagged}) {
+        RequestSource refilled(s, 11), fresh(s, 11);
+        for (int i = 0; i < 50; ++i) {
+            refilled.fill(reused);
+            expectSameRequest(reused, draw(fresh));
+        }
+    }
 }
 
 } // namespace
