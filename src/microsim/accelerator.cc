@@ -65,19 +65,16 @@ Accelerator::transferCycles(double bytes) const
 
 void
 Accelerator::offload(double hostEquivalentCycles, double bytes,
-                     sim::InlineCallback &&onComplete,
+                     OffloadCallback &&onComplete,
                      bool transferPaidByHost)
 {
     require(hostEquivalentCycles >= 0, "Accelerator: negative work");
     require(bytes >= 0, "Accelerator: negative granularity");
 
     double transfer = transferPaidByHost ? 0.0 : transferCycles(bytes);
-    double service = hostEquivalentCycles / config_.speedupFactor;
 
     Pending item;
-    item.serviceCycles = service;
-    item.lateResponseCycles = 0.0;
-    item.dropResponse = false;
+    item.serviceCycles = hostEquivalentCycles / config_.speedupFactor;
     item.onComplete = std::move(onComplete);
 
     if (const faults::FaultPlan *plan = config_.faultPlan.get()) {
@@ -94,26 +91,55 @@ Accelerator::offload(double hostEquivalentCycles, double bytes,
     stats_.transferCycles.add(transfer);
 
     // The offload reaches the device queue after the transfer completes.
+    const PendingHandle h = pending_.acquire(std::move(item));
     eq_.scheduleIn(static_cast<sim::Tick>(std::llround(transfer)),
-                   [this, it = std::move(item)]() mutable {
-                       enqueue(std::move(it));
-                   });
+                   [this, h]() { enqueue(h); });
 }
 
 void
-Accelerator::enqueue(Pending &&item)
+Accelerator::report(PendingHandle h, bool delivered)
+{
+    // Moved out before it runs: the caller may offload again, which
+    // can reuse this slot or grow the pool.
+    OffloadCallback onComplete = std::move(pending_.at(h).onComplete);
+    pending_.release(h);
+    onComplete(delivered);
+}
+
+void
+Accelerator::enqueue(PendingHandle h)
 {
     if (config_.faultPlan && config_.faultPlan->failedAt(eq_.now())) {
         // The device is resetting: the request vanishes at the
-        // interface and its completion callback never fires.
+        // interface.
         ++stats_.lostToDeviceFailure;
+        report(h, /*delivered=*/false);
         return;
     }
-    item.enqueued = eq_.now();
-    queue_.push_back(std::move(item));
+    pending_.at(h).enqueued = eq_.now();
+    if (queueCount_ == queue_.size()) {
+        // Unroll the ring into a buffer twice the size, oldest first.
+        std::vector<PendingHandle> grown(std::max<std::size_t>(
+            8, 2 * queue_.size()));
+        for (std::size_t i = 0; i < queueCount_; ++i)
+            grown[i] = queue_[(queueHead_ + i) % queue_.size()];
+        queue_ = std::move(grown);
+        queueHead_ = 0;
+    }
+    queue_[(queueHead_ + queueCount_) % queue_.size()] = h;
+    ++queueCount_;
     stats_.maxQueueDepth =
-        std::max<std::uint64_t>(stats_.maxQueueDepth, queue_.size());
+        std::max<std::uint64_t>(stats_.maxQueueDepth, queueCount_);
     tryServe();
+}
+
+Accelerator::PendingHandle
+Accelerator::popQueue()
+{
+    const PendingHandle h = queue_[queueHead_];
+    queueHead_ = (queueHead_ + 1) % queue_.size();
+    --queueCount_;
+    return h;
 }
 
 void
@@ -123,8 +149,10 @@ Accelerator::tryServe()
     if (plan && plan->failedAt(eq_.now())) {
         // Device reset: everything queued is lost. Wake up at the
         // recovery tick (if one exists) to resume service.
-        stats_.lostToDeviceFailure += queue_.size();
-        queue_.clear();
+        while (queueCount_ > 0) {
+            ++stats_.lostToDeviceFailure;
+            report(popQueue(), /*delivered=*/false);
+        }
         if (plan->deviceRecoverAtTick != faults::kNeverTick &&
             !recoveryWakeScheduled_) {
             recoveryWakeScheduled_ = true;
@@ -133,7 +161,7 @@ Accelerator::tryServe()
         }
         return;
     }
-    if (plan && !queue_.empty() && plan->stalledAt(eq_.now())) {
+    if (plan && queueCount_ > 0 && plan->stalledAt(eq_.now())) {
         // Channel stall: nothing new starts until the window ends.
         ++stats_.stallDeferrals;
         sim::Tick end = plan->stallEnd(eq_.now());
@@ -143,11 +171,11 @@ Accelerator::tryServe()
         }
         return;
     }
-    while (busyChannels_ < config_.channels && !queue_.empty()) {
-        Pending item = std::move(queue_.front());
-        queue_.pop_front();
+    while (busyChannels_ < config_.channels && queueCount_ > 0) {
+        const PendingHandle h = popQueue();
         ++busyChannels_;
 
+        const Pending &item = pending_.at(h);
         double wait = static_cast<double>(eq_.now() - item.enqueued);
         stats_.queueWaitCycles.add(wait);
         stats_.serviceCycles.add(item.serviceCycles);
@@ -155,14 +183,12 @@ Accelerator::tryServe()
 
         eq_.scheduleIn(
             static_cast<sim::Tick>(std::llround(item.serviceCycles)),
-            [this, it = std::move(item)]() mutable {
-                finishService(std::move(it));
-            });
+            [this, h]() { finishService(h); });
     }
 }
 
 void
-Accelerator::finishService(Pending &&item)
+Accelerator::finishService(PendingHandle h)
 {
     ensure(busyChannels_ > 0, "Accelerator: channel underflow");
     --busyChannels_;
@@ -170,19 +196,22 @@ Accelerator::finishService(Pending &&item)
     if (plan && plan->failedAt(eq_.now())) {
         // The reset raced the in-flight work: its completion is lost.
         ++stats_.lostToDeviceFailure;
+        report(h, /*delivered=*/false);
         tryServe();
         return;
     }
     ++stats_.served;
+    const Pending &item = pending_.at(h);
     if (item.dropResponse) {
         ++stats_.droppedResponses;
+        report(h, /*delivered=*/false);
     } else if (item.lateResponseCycles > 0) {
         ++stats_.lateResponses;
         eq_.scheduleIn(static_cast<sim::Tick>(
                            std::llround(item.lateResponseCycles)),
-                       std::move(item.onComplete));
+                       [this, h]() { report(h, /*delivered=*/true); });
     } else {
-        item.onComplete();
+        report(h, /*delivered=*/true);
     }
     tryServe();
 }

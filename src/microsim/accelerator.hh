@@ -4,29 +4,38 @@
  *
  * A device with one or more service channels behind a FIFO queue. An
  * offload arrives after its interface transfer completes, waits for a
- * free channel, is served at the device's speedup factor, and invokes a
- * completion callback. Queue waits are emergent, giving the analytical
- * model's Q parameter a measurable counterpart.
+ * free channel, is served at the device's speedup factor, and reports
+ * its outcome through a callback. Queue waits are emergent, giving the
+ * analytical model's Q parameter a measurable counterpart.
  *
  * An optional FaultPlan makes the device misbehave deterministically:
- * transfers spike, completions arrive late or never, channels stall,
- * and the whole device can fail (and recover) at fixed ticks. Without a
- * plan the device takes the exact pre-fault code path, so fault-off
- * runs stay bit-identical.
+ * transfers spike, responses arrive late or are dropped, channels
+ * stall, and the whole device can fail (and recover) at fixed ticks.
+ * Every offload still reports exactly once: a lost one reports false.
+ * Without a plan the device takes the exact pre-fault code path, so
+ * fault-off runs stay bit-identical.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "faults/fault_plan.hh"
 #include "sim/event_queue.hh"
 #include "stats/online_stats.hh"
+#include "util/slot_pool.hh"
 
 namespace accel::microsim {
+
+/**
+ * Outcome callback of one offload. It runs exactly once: with true when
+ * the response arrives, with false when the device loses the offload
+ * (see Accelerator::offload).
+ */
+using OffloadCallback = sim::InlineFunction<void(bool delivered)>;
 
 /** Static description of an accelerator device. */
 struct AcceleratorConfig
@@ -84,21 +93,25 @@ class Accelerator
     /**
      * Dispatch one offload.
      *
-     * Under a fault plan the completion callback may be invoked late or
-     * never (dropped response, device failure); callers that need to
-     * survive that race a deadline timer against it.
+     * @p onComplete runs exactly once. It gets true when the response
+     * arrives, which under a fault plan may be late. It gets false, at
+     * the tick the offload is lost, when the device is failed as the
+     * transfer arrives, a reset clears the queue or hits the offload in
+     * service, or the response is dropped. A false outcome means no
+     * response will ever come; callers that need an answer in time
+     * still race a deadline timer against the true one.
      *
      * @param hostEquivalentCycles cycles the host would have spent
      * @param bytes                offload granularity (drives transfer)
-     * @param onComplete           invoked when service finishes
-     *                             (sink: moved into the device queue)
+     * @param onComplete           outcome callback (sink: moved into
+     *                             the device's record of the offload)
      * @param transferPaidByHost   true when the caller already held the
      *                             core for the transfer (driver-awaits-ack
      *                             designs); the device then skips its own
      *                             transfer delay so L is charged once
      */
     void offload(double hostEquivalentCycles, double bytes,
-                 sim::InlineCallback &&onComplete,
+                 OffloadCallback &&onComplete,
                  bool transferPaidByHost = false);
 
     /** Clear statistics (used at the end of a warmup window). */
@@ -110,19 +123,35 @@ class Accelerator
     /** Observed statistics. */
     const AcceleratorStats &stats() const { return stats_; }
 
+    /** Offloads whose outcome has not been reported yet. */
+    std::size_t liveRecords() const { return pending_.live(); }
+
   private:
+    /**
+     * One offload from dispatch until its outcome is reported. Its
+     * transfer, service and late-response events name it by handle.
+     */
     struct Pending
     {
-        double serviceCycles;
-        sim::Tick enqueued;
-        double lateResponseCycles;
-        bool dropResponse;
-        sim::InlineCallback onComplete;
+        double serviceCycles = 0.0;
+        sim::Tick enqueued = 0;
+        double lateResponseCycles = 0.0;
+        bool dropResponse = false;
+        OffloadCallback onComplete;
     };
+    using PendingHandle = SlotPool<Pending>::Handle;
 
     sim::EventQueue &eq_;
     AcceleratorConfig config_;
-    std::deque<Pending> queue_;
+    SlotPool<Pending> pending_;
+    /**
+     * FIFO ring of queued offloads: queueCount_ handles from
+     * queueHead_, wrapping. It doubles when full, so a steady queue
+     * allocates nothing.
+     */
+    std::vector<PendingHandle> queue_;
+    std::size_t queueHead_ = 0;
+    std::size_t queueCount_ = 0;
     std::uint32_t busyChannels_ = 0;
     AcceleratorStats stats_;
 
@@ -131,9 +160,13 @@ class Accelerator
     sim::Tick stallWakeAt_ = 0;       //!< pending stall-resume event
     bool recoveryWakeScheduled_ = false;
 
-    void enqueue(Pending &&item);
+    void enqueue(PendingHandle h);
+    PendingHandle popQueue();
     void tryServe();
-    void finishService(Pending &&item);
+    void finishService(PendingHandle h);
+
+    /** Release @p h's record, then report @p delivered to its caller. */
+    void report(PendingHandle h, bool delivered);
 };
 
 } // namespace accel::microsim

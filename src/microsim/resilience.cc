@@ -75,23 +75,28 @@ CircuitBreaker::record(bool success, bool probe, sim::Tick now)
     }
     if (state_ != State::Closed)
         return Transition::None; // stragglers from before the breaker opened
-    window_.push_back(success);
+    if (windowCount_ == cfg_.window) {
+        // Full: the oldest outcome leaves as this one takes its slot.
+        if (!window_[windowHead_])
+            --failures_;
+        window_[windowHead_] = success;
+        windowHead_ = (windowHead_ + 1) % cfg_.window;
+    } else {
+        window_[(windowHead_ + windowCount_) % cfg_.window] = success;
+        ++windowCount_;
+    }
     if (!success)
         ++failures_;
-    if (window_.size() > cfg_.window) {
-        if (!window_.front())
-            --failures_;
-        window_.pop_front();
-    }
-    if (window_.size() >= cfg_.minSamples &&
+    if (windowCount_ >= cfg_.minSamples &&
         static_cast<double>(failures_) /
-                static_cast<double>(window_.size()) >=
+                static_cast<double>(windowCount_) >=
             cfg_.openThreshold) {
         // The window only ever fills while closed, so clearing it here
         // is what lets a probe success close onto a fresh window.
         state_ = State::Open;
         openedAt_ = now;
-        window_.clear();
+        windowHead_ = 0;
+        windowCount_ = 0;
         failures_ = 0;
         return Transition::Opened;
     }

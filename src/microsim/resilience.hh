@@ -14,7 +14,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "sim/event_queue.hh"
 
@@ -108,7 +108,9 @@ class CircuitBreaker
         Closed, //!< the probe succeeded: HalfOpen -> Closed
     };
 
-    explicit CircuitBreaker(const BreakerConfig &cfg) : cfg_(cfg) {}
+    explicit CircuitBreaker(const BreakerConfig &cfg)
+        : cfg_(cfg), window_(cfg.window)
+    {}
 
     /** Admission decision for one call issued at @p now. */
     Gate gate(sim::Tick now);
@@ -126,7 +128,13 @@ class CircuitBreaker
 
     BreakerConfig cfg_;
     State state_ = State::Closed;
-    std::deque<bool> window_;
+    /**
+     * The last windowCount_ outcomes (true = success), oldest at
+     * windowHead_, in a ring of cfg_.window slots.
+     */
+    std::vector<bool> window_;
+    std::uint32_t windowHead_ = 0;
+    std::uint32_t windowCount_ = 0;
     std::uint32_t failures_ = 0;
     sim::Tick openedAt_ = 0;
 };

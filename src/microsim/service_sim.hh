@@ -358,13 +358,26 @@ class ServiceSim
         Abandoned,    //!< retries exhausted; no fallback configured
     };
 
-    /** One attempt's race between device completion and deadline. */
+    /**
+     * One attempt's race between device completion and deadline, kept
+     * in attempts_ and named by its handle in both callbacks. Released
+     * once the device has reported and the deadline fired or was
+     * cancelled.
+     */
     struct AttemptState
     {
+        KernelInvocation kernel{};
+        size_t tid = 0;
+        std::uint32_t attempt = 0;
+        bool probe = false;
+        bool transferPaidByHost = false;
         bool settled = false;
+        bool deviceReported = false;
         sim::TimerId timer = sim::kInvalidTimer;
+        InFlightHandle inflight = 0;
         sim::InlineFunction<void(OffloadOutcome)> resolve;
     };
+    using AttemptHandle = SlotPool<AttemptState>::Handle;
 
     bool resilienceActive() const { return cfg_.retry.active(); }
 
@@ -378,15 +391,21 @@ class ServiceSim
                            InFlightHandle inflight,
                            sim::InlineFunction<void(OffloadOutcome)> &&resolve);
 
-    void issueAttempt(size_t tid, const KernelInvocation &k,
-                      bool transferPaidByHost, std::uint32_t attempt,
-                      bool probe, InFlightHandle inflight,
-                      sim::InlineFunction<void(OffloadOutcome)> &&resolve);
+    /** Start @p h's device offload and arm its deadline. */
+    void issueAttempt(AttemptHandle h);
+    void onAttemptReported(AttemptHandle h, bool delivered);
+    void onAttemptDeadline(AttemptHandle h);
+
+    /** Release @p h once its device reported and its deadline is gone. */
+    void maybeReleaseAttempt(AttemptHandle h);
 
     sim::Tick backoffTicks(std::uint32_t attempt) const;
 
     /** Feed one offload outcome to the breaker; count its transitions. */
     void recordOffloadOutcome(bool success, bool probe);
+
+    /** Every resilient offload attempt still live, by handle. */
+    SlotPool<AttemptState> attempts_;
 
     CircuitBreaker breaker_;
 

@@ -454,7 +454,7 @@ AcceleratorTier::pickReplica(size_t exclude, bool *isProbe)
 
 void
 AcceleratorTier::offload(double hostEquivalentCycles, double bytes,
-                         sim::InlineCallback &&onComplete,
+                         OffloadCallback &&onComplete,
                          bool transferPaidByHost)
 {
     // Trivial tier: hand the offload straight to the single replica.
@@ -466,45 +466,64 @@ AcceleratorTier::offload(double hostEquivalentCycles, double bytes,
         return;
     }
 
-    auto state = std::make_shared<OffloadState>();
-    state->hostCycles = hostEquivalentCycles;
-    state->bytes = bytes;
-    state->transferPaidByHost = transferPaidByHost;
-    state->issuedAt = eq_.now();
-    state->onComplete = std::move(onComplete);
+    OffloadState state;
+    state.hostCycles = hostEquivalentCycles;
+    state.bytes = bytes;
+    state.transferPaidByHost = transferPaidByHost;
+    state.issuedAt = eq_.now();
+    state.onComplete = std::move(onComplete);
+    const OffloadHandle offload = offloads_.acquire(std::move(state));
 
     ++stats_.offloads;
 
     bool isProbe = false;
     size_t replica = pickReplica(kNoReplica, &isProbe);
     ensure(replica != kNoReplica, "AcceleratorTier: no replica");
-    issueAttempt(state, replica, /*isHedge=*/false, isProbe);
+    issueAttempt(offload, replica, /*isHedge=*/false, isProbe);
 
     if (cfg_.hedge.enabled) {
         auto delay = static_cast<sim::Tick>(
             std::llround(cfg_.hedge.delayCycles));
-        state->hedgeTimer = eq_.scheduleTimerIn(delay, [this, state]() {
-            state->hedgeTimer = sim::kInvalidTimer;
-            if (state->settled || state->hedged)
-                return;
-            state->hedged = true;
-            bool probe = false;
-            size_t second =
-                pickReplica(state->attempts.front().replica, &probe);
-            if (second == kNoReplica)
-                return; // nowhere to hedge to
-            ++stats_.hedgesIssued;
-            issueAttempt(state, second, /*isHedge=*/true, probe);
-        });
+        offloads_.at(offload).hedgeTimer = eq_.scheduleTimerIn(
+            delay, [this, offload]() { onHedgeTimer(offload); });
     }
 }
 
 void
-AcceleratorTier::issueAttempt(const std::shared_ptr<OffloadState> &state,
-                              size_t replica, bool isHedge, bool isProbe)
+AcceleratorTier::onHedgeTimer(OffloadHandle offload)
 {
-    size_t attemptIndex = state->attempts.size();
+    OffloadState &state = offloads_.at(offload);
+    state.hedgeTimer = sim::kInvalidTimer;
+    if (!state.settled && !state.hedged) {
+        state.hedged = true;
+        bool probe = false;
+        size_t second = pickReplica(state.primaryReplica, &probe);
+        if (second != kNoReplica) {
+            ++stats_.hedgesIssued;
+            issueAttempt(offload, second, /*isHedge=*/true, probe);
+        }
+        // else: nowhere to hedge to
+    }
+    maybeReleaseOffload(offload);
+}
+
+void
+AcceleratorTier::issueAttempt(OffloadHandle offload, size_t replica,
+                              bool isHedge, bool isProbe)
+{
+    OffloadState &state = offloads_.at(offload);
+    const bool primary = state.primaryReplica == kNoReplica;
+    if (primary)
+        state.primaryReplica = replica;
+    ++state.liveAttempts;
+    // Hedge and failover attempts always pay the device-side transfer:
+    // the host only fronted the interface cost for the primary leg.
+    const bool paidByHost = state.transferPaidByHost && primary;
+    const double hostCycles = state.hostCycles;
+    const double bytes = state.bytes;
+
     Attempt attempt;
+    attempt.offload = offload;
     attempt.replica = replica;
     attempt.isHedge = isHedge;
     attempt.isProbe = isProbe;
@@ -517,38 +536,39 @@ AcceleratorTier::issueAttempt(const std::shared_ptr<OffloadState> &state,
     ++outstanding_[replica];
     ++stats_.replicas[replica].dispatched;
 
+    const AttemptHandle a = attempts_.acquire(attempt);
     if (cfg_.healthTimeoutCycles > 0.0) {
         auto timeout = static_cast<sim::Tick>(
             std::llround(cfg_.healthTimeoutCycles));
-        attempt.watchdog = eq_.scheduleTimerIn(
-            timeout,
-            [this, state, attemptIndex]() {
-                onWatchdog(state, attemptIndex);
-            },
-            kWatchdogPriority);
+        attempts_.at(a).watchdog = eq_.scheduleTimerIn(
+            timeout, [this, a]() { onWatchdog(a); }, kWatchdogPriority);
     }
 
-    state->attempts.push_back(attempt);
-
-    // Hedge and failover attempts always pay the device-side transfer:
-    // the host only fronted the interface cost for the primary leg.
-    bool paidByHost = state->transferPaidByHost && attemptIndex == 0;
-    replicas_[replica]->offload(state->hostCycles, state->bytes,
-                                [this, state, attemptIndex]() {
-                                    onCompletion(state, attemptIndex);
+    replicas_[replica]->offload(hostCycles, bytes,
+                                [this, a](bool delivered) {
+                                    onDeviceReport(a, delivered);
                                 },
                                 paidByHost);
 }
 
 void
-AcceleratorTier::onCompletion(const std::shared_ptr<OffloadState> &state,
-                              size_t attemptIndex)
+AcceleratorTier::onDeviceReport(AttemptHandle a, bool delivered)
 {
-    Attempt &attempt = state->attempts[attemptIndex];
-    attempt.completed = true;
-    size_t replica = attempt.replica;
+    Attempt &attempt = attempts_.at(a);
+    attempt.reported = true;
+    const OffloadHandle offload = attempt.offload;
+    if (!delivered) {
+        // The replica lost the attempt. Its watchdog, if armed, still
+        // charges the failure and fails over when it fires.
+        maybeReleaseAttempt(a);
+        maybeReleaseOffload(offload);
+        return;
+    }
+
+    const size_t replica = attempt.replica;
+    const bool isHedge = attempt.isHedge;
     double serviceCycles =
-        state->hostCycles / deviceConfig_.speedupFactor;
+        offloads_.at(offload).hostCycles / deviceConfig_.speedupFactor;
 
     if (!attempt.timedOut) {
         // First terminal outcome for this attempt: release the replica
@@ -569,48 +589,51 @@ AcceleratorTier::onCompletion(const std::shared_ptr<OffloadState> &state,
     // work the device did, but the tier already judged the attempt
     // failed; health state is not retroactively repaired, so a
     // brown-out replica cannot dodge ejection with late answers.
+    maybeReleaseAttempt(a);
 
-    if (state->settled) {
+    OffloadState &state = offloads_.at(offload);
+    if (state.settled) {
         ++stats_.duplicateCompletions;
         ++stats_.replicas[replica].duplicates;
         stats_.wastedServiceCycles += serviceCycles;
         stats_.replicas[replica].wastedServiceCycles += serviceCycles;
+        maybeReleaseOffload(offload);
         return;
     }
 
     // First completion wins: settle the offload.
-    state->settled = true;
+    state.settled = true;
     ++stats_.replicas[replica].wins;
     stats_.usefulServiceCycles += serviceCycles;
     stats_.offloadLatencyCycles.add(
-        static_cast<double>(eq_.now() - state->issuedAt));
+        static_cast<double>(eq_.now() - state.issuedAt));
 
-    if (state->hedgeTimer != sim::kInvalidTimer) {
-        eq_.cancelTimer(state->hedgeTimer);
-        state->hedgeTimer = sim::kInvalidTimer;
+    if (state.hedgeTimer != sim::kInvalidTimer) {
+        eq_.cancelTimer(state.hedgeTimer);
+        state.hedgeTimer = sim::kInvalidTimer;
     }
-    if (state->hedged) {
-        if (attempt.isHedge)
+    if (state.hedged) {
+        if (isHedge)
             ++stats_.hedgeWins;
         else
             ++stats_.hedgeLosses;
     }
 
-    if (state->onComplete)
-        state->onComplete();
-    state->onComplete = nullptr; // release caller state promptly
+    // Moved out before it runs: the caller may offload again, which
+    // can reuse this slot or grow the pool.
+    OffloadCallback onComplete = std::move(state.onComplete);
+    maybeReleaseOffload(offload);
+    onComplete(/*delivered=*/true);
 }
 
 void
-AcceleratorTier::onWatchdog(const std::shared_ptr<OffloadState> &state,
-                            size_t attemptIndex)
+AcceleratorTier::onWatchdog(AttemptHandle a)
 {
-    Attempt &attempt = state->attempts[attemptIndex];
+    Attempt &attempt = attempts_.at(a);
     attempt.watchdog = sim::kInvalidTimer;
-    if (attempt.completed)
-        return; // completion already released the slot
     attempt.timedOut = true;
-    size_t replica = attempt.replica;
+    const size_t replica = attempt.replica;
+    const OffloadHandle offload = attempt.offload;
 
     ensure(outstanding_[replica] > 0,
            "AcceleratorTier: outstanding underflow");
@@ -621,25 +644,52 @@ AcceleratorTier::onWatchdog(const std::shared_ptr<OffloadState> &state,
     if (health_[replica].state == ReplicaState::Draining &&
         outstanding_[replica] == 0)
         finalizeDrain(replica);
-
-    if (state->settled)
-        return; // another arm already answered
+    maybeReleaseAttempt(a);
 
     // Failover: re-issue to a different replica, excluding the one
-    // that just timed out.
-    if (state->failovers >= cfg_.maxFailovers) {
-        ++stats_.failoversExhausted;
-        return; // the caller's own deadline machinery takes over
+    // that just timed out, unless another arm already answered.
+    OffloadState &state = offloads_.at(offload);
+    if (!state.settled) {
+        bool isProbe = false;
+        size_t next = state.failovers >= cfg_.maxFailovers
+                          ? kNoReplica
+                          : pickReplica(replica, &isProbe);
+        if (next == kNoReplica) {
+            // The caller's own deadline machinery takes over.
+            ++stats_.failoversExhausted;
+        } else {
+            ++state.failovers;
+            ++stats_.failovers;
+            issueAttempt(offload, next, /*isHedge=*/false, isProbe);
+        }
     }
-    bool isProbe = false;
-    size_t next = pickReplica(replica, &isProbe);
-    if (next == kNoReplica) {
-        ++stats_.failoversExhausted;
+    maybeReleaseOffload(offload);
+}
+
+void
+AcceleratorTier::maybeReleaseAttempt(AttemptHandle a)
+{
+    const Attempt &attempt = attempts_.at(a);
+    if (!attempt.reported || attempt.watchdog != sim::kInvalidTimer)
         return;
-    }
-    ++state->failovers;
-    ++stats_.failovers;
-    issueAttempt(state, next, /*isHedge=*/false, isProbe);
+    const OffloadHandle offload = attempt.offload;
+    attempts_.release(a);
+    --offloads_.at(offload).liveAttempts;
+}
+
+void
+AcceleratorTier::maybeReleaseOffload(OffloadHandle offload)
+{
+    OffloadState &state = offloads_.at(offload);
+    if (state.liveAttempts > 0 || state.hedgeTimer != sim::kInvalidTimer)
+        return;
+    // Nothing left can settle it. A settled offload already handed
+    // its callback over; an unsettled one reports its loss now.
+    const bool lost = !state.settled;
+    OffloadCallback onComplete = std::move(state.onComplete);
+    offloads_.release(offload);
+    if (lost)
+        onComplete(/*delivered=*/false);
 }
 
 void

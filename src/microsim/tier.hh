@@ -53,6 +53,7 @@
 #include "microsim/accelerator.hh"
 #include "sim/event_queue.hh"
 #include "stats/reservoir.hh"
+#include "util/slot_pool.hh"
 
 namespace accel::microsim {
 
@@ -217,14 +218,16 @@ class AcceleratorTier
                     const TierConfig &tier);
 
     /**
-     * Dispatch one logical offload through the tier. @p onComplete is
-     * invoked at most once, when the first replica completion arrives;
-     * under faults it may never be invoked (callers that need to
-     * survive that race a deadline timer against it, exactly as with a
-     * single Accelerator).
+     * Dispatch one logical offload through the tier. @p onComplete runs
+     * exactly once: with true when the first replica completion
+     * arrives, or with false once the offload can no longer settle —
+     * every attempt has reported, and no watchdog or hedge timer that
+     * could issue another is pending. Callers that need an answer in
+     * time race a deadline timer against it, exactly as with a single
+     * Accelerator.
      */
     void offload(double hostEquivalentCycles, double bytes,
-                 sim::InlineCallback &&onComplete,
+                 OffloadCallback &&onComplete,
                  bool transferPaidByHost = false);
 
     /** Interface transfer cycles (identical across replicas). */
@@ -262,6 +265,15 @@ class AcceleratorTier
 
     /** In-flight attempts currently charged to replica @p index. */
     std::uint64_t outstanding(size_t index) const;
+
+    /**
+     * Offload and attempt records the tier holds (not its replicas'):
+     * each lives until its outcome is reported and its timers are gone.
+     */
+    std::size_t liveRecords() const
+    {
+        return offloads_.live() + attempts_.live();
+    }
 
     /**
      * Resize the live capacity to @p target replicas (the autoscaler's
@@ -302,18 +314,12 @@ class AcceleratorTier
         bool probeInFlight = false;
     };
 
-    /** One replica attempt inside a logical offload. */
-    struct Attempt
-    {
-        size_t replica = 0;
-        sim::TimerId watchdog = sim::kInvalidTimer;
-        bool isHedge = false;
-        bool isProbe = false;
-        bool completed = false;
-        bool timedOut = false;
-    };
+    static constexpr size_t kNoReplica = ~static_cast<size_t>(0);
 
-    /** Shared state of one logical offload. */
+    /**
+     * One logical offload. Released once no attempt is live and no
+     * hedge timer is pending; reports false then if it never settled.
+     */
     struct OffloadState
     {
         double hostCycles = 0.0;
@@ -323,12 +329,28 @@ class AcceleratorTier
         bool settled = false;
         bool hedged = false;
         std::uint32_t failovers = 0;
+        std::uint32_t liveAttempts = 0;
+        size_t primaryReplica = kNoReplica; //!< set by the first attempt
         sim::TimerId hedgeTimer = sim::kInvalidTimer;
-        sim::InlineCallback onComplete;
-        std::vector<Attempt> attempts;
+        OffloadCallback onComplete;
     };
+    using OffloadHandle = SlotPool<OffloadState>::Handle;
 
-    static constexpr size_t kNoReplica = ~static_cast<size_t>(0);
+    /**
+     * One replica attempt inside a logical offload. Released once the
+     * device has reported and its watchdog fired or was cancelled.
+     */
+    struct Attempt
+    {
+        OffloadHandle offload = 0;
+        size_t replica = 0;
+        sim::TimerId watchdog = sim::kInvalidTimer;
+        bool isHedge = false;
+        bool isProbe = false;
+        bool reported = false;  //!< the device ran its callback
+        bool timedOut = false;
+    };
+    using AttemptHandle = SlotPool<Attempt>::Handle;
 
     sim::EventQueue &eq_;
     AcceleratorConfig deviceConfig_; //!< template (plan handled per replica)
@@ -341,6 +363,8 @@ class AcceleratorTier
     std::uint64_t dispatchIndex_ = 0; //!< slot index for p2c draws
     /** pickReplica's scratch list, kept so a pick allocates nothing. */
     std::vector<size_t> candidates_;
+    SlotPool<OffloadState> offloads_;
+    SlotPool<Attempt> attempts_;
     TierStats stats_;
 
     // Lazily-integrated capacity: accumulated provisioned-replica
@@ -359,12 +383,20 @@ class AcceleratorTier
      */
     size_t pickReplica(size_t exclude, bool *isProbe);
 
-    void issueAttempt(const std::shared_ptr<OffloadState> &state,
-                      size_t replica, bool isHedge, bool isProbe);
-    void onCompletion(const std::shared_ptr<OffloadState> &state,
-                      size_t attemptIndex);
-    void onWatchdog(const std::shared_ptr<OffloadState> &state,
-                    size_t attemptIndex);
+    void issueAttempt(OffloadHandle offload, size_t replica, bool isHedge,
+                      bool isProbe);
+    void onHedgeTimer(OffloadHandle offload);
+    void onDeviceReport(AttemptHandle attempt, bool delivered);
+    void onWatchdog(AttemptHandle attempt);
+
+    /** Release @p attempt if its device reported and no watchdog waits. */
+    void maybeReleaseAttempt(AttemptHandle attempt);
+
+    /**
+     * Release @p offload once no attempt is live and no hedge timer is
+     * pending, reporting false first if it never settled.
+     */
+    void maybeReleaseOffload(OffloadHandle offload);
 
     void recordSuccess(size_t replica);
     void recordFailure(size_t replica);

@@ -53,17 +53,22 @@ RateLimitedWarner::RateLimitedWarner(std::string label,
     : label_(std::move(label)), firstN_(firstN)
 {}
 
-void
-RateLimitedWarner::warn(const std::string &msg)
+bool
+RateLimitedWarner::admit()
 {
     ++occurrences_;
-    if (occurrences_ <= firstN_) {
-        accel::warn(label_ + ": " + msg);
-        if (occurrences_ == firstN_)
-            accel::warn(label_ + ": further warnings suppressed");
-    } else {
-        ++suppressed_;
-    }
+    if (occurrences_ <= firstN_)
+        return true;
+    ++suppressed_;
+    return false;
+}
+
+void
+RateLimitedWarner::emit(const std::string &msg)
+{
+    accel::warn(label_ + ": " + msg);
+    if (occurrences_ == firstN_)
+        accel::warn(label_ + ": further warnings suppressed");
 }
 
 void

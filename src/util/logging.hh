@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace accel {
@@ -151,8 +152,19 @@ class RateLimitedWarner
      */
     explicit RateLimitedWarner(std::string label, std::uint64_t firstN = 5);
 
-    /** Print (first N times) or count (afterwards) one occurrence. */
-    void warn(const std::string &msg);
+    /**
+     * Print (first N times) or count (afterwards) one occurrence.
+     * @p makeText returns the message (a std::string); it runs only
+     * for the occurrences that print, so the suppressed ones, usually
+     * nearly all of them, format nothing.
+     */
+    template <typename MakeText>
+    void
+    warn(MakeText &&makeText)
+    {
+        if (admit())
+            emit(std::forward<MakeText>(makeText)());
+    }
 
     /** Occurrences seen so far. */
     std::uint64_t occurrences() const { return occurrences_; }
@@ -168,6 +180,12 @@ class RateLimitedWarner
     void flushSummary();
 
   private:
+    /** Count one occurrence; true when it is among the first N. */
+    bool admit();
+
+    /** Print @p msg, then the suppression notice after the Nth. */
+    void emit(const std::string &msg);
+
     std::string label_;
     std::uint64_t firstN_;
     std::uint64_t occurrences_ = 0;

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -43,7 +44,7 @@ TEST(Accelerator, ServiceTimeDividedBySpeedup)
     cfg.speedupFactor = 4;
     Accelerator dev(eq, cfg);
     sim::Tick done = 0;
-    dev.offload(1000, 0, [&] { done = eq.now(); });
+    dev.offload(1000, 0, [&](bool) { done = eq.now(); });
     eq.runAll();
     EXPECT_EQ(done, 250u);
 }
@@ -56,7 +57,7 @@ TEST(Accelerator, TransferDelaysArrival)
     cfg.fixedLatencyCycles = 300;
     Accelerator dev(eq, cfg);
     sim::Tick done = 0;
-    dev.offload(1000, 0, [&] { done = eq.now(); });
+    dev.offload(1000, 0, [&](bool) { done = eq.now(); });
     eq.runAll();
     EXPECT_EQ(done, 300u + 500u);
 }
@@ -69,7 +70,7 @@ TEST(Accelerator, HostPaidTransferSkipsDeviceDelay)
     cfg.fixedLatencyCycles = 300;
     Accelerator dev(eq, cfg);
     sim::Tick done = 0;
-    dev.offload(1000, 0, [&] { done = eq.now(); },
+    dev.offload(1000, 0, [&](bool) { done = eq.now(); },
                 /*transferPaidByHost=*/true);
     eq.runAll();
     EXPECT_EQ(done, 500u);
@@ -83,7 +84,7 @@ TEST(Accelerator, SingleChannelSerializesOffloads)
     Accelerator dev(eq, cfg);
     std::vector<sim::Tick> done;
     for (int i = 0; i < 3; ++i)
-        dev.offload(100, 0, [&] { done.push_back(eq.now()); });
+        dev.offload(100, 0, [&](bool) { done.push_back(eq.now()); });
     eq.runAll();
     ASSERT_EQ(done.size(), 3u);
     EXPECT_EQ(done[0], 100u);
@@ -103,7 +104,7 @@ TEST(Accelerator, MultipleChannelsServeInParallel)
     Accelerator dev(eq, cfg);
     std::vector<sim::Tick> done;
     for (int i = 0; i < 3; ++i)
-        dev.offload(100, 0, [&] { done.push_back(eq.now()); });
+        dev.offload(100, 0, [&](bool) { done.push_back(eq.now()); });
     eq.runAll();
     for (sim::Tick t : done)
         EXPECT_EQ(t, 100u);
@@ -116,7 +117,7 @@ TEST(Accelerator, StatsAccumulateAndReset)
     AcceleratorConfig cfg;
     cfg.speedupFactor = 2;
     Accelerator dev(eq, cfg);
-    dev.offload(1000, 0, [] {});
+    dev.offload(1000, 0, [](bool) {});
     eq.runAll();
     EXPECT_EQ(dev.stats().served, 1u);
     EXPECT_DOUBLE_EQ(dev.stats().busyCycles, 500);
@@ -129,8 +130,8 @@ TEST(Accelerator, RejectsNegativeWork)
 {
     sim::EventQueue eq;
     Accelerator dev(eq, AcceleratorConfig{});
-    EXPECT_THROW(dev.offload(-1, 0, [] {}), FatalError);
-    EXPECT_THROW(dev.offload(1, -1, [] {}), FatalError);
+    EXPECT_THROW(dev.offload(-1, 0, [](bool) {}), FatalError);
+    EXPECT_THROW(dev.offload(1, -1, [](bool) {}), FatalError);
 }
 
 TEST(Accelerator, ValidationNamesTheOffendingField)
@@ -169,7 +170,26 @@ TEST(Accelerator, ValidationCoversTheFaultPlan)
     EXPECT_THROW(cfg.validate(), FatalError);
 }
 
-TEST(Accelerator, DroppedResponseServesButNeverCallsBack)
+/** Outcomes one offload reported: how often, and the last one. */
+struct Outcomes
+{
+    int calls = 0;
+    bool delivered = false;
+    sim::Tick at = 0;
+};
+
+/** An outcome callback that records into @p out. */
+OffloadCallback
+recordInto(sim::EventQueue &eq, Outcomes &out)
+{
+    return [&eq, &out](bool delivered) {
+        ++out.calls;
+        out.delivered = delivered;
+        out.at = eq.now();
+    };
+}
+
+TEST(Accelerator, DroppedResponseServesAndReportsLoss)
 {
     sim::EventQueue eq;
     AcceleratorConfig cfg;
@@ -177,12 +197,15 @@ TEST(Accelerator, DroppedResponseServesButNeverCallsBack)
     plan->dropProbability = 1.0;
     cfg.faultPlan = plan;
     Accelerator dev(eq, cfg);
-    int fired = 0;
-    dev.offload(100, 0, [&] { ++fired; });
+    Outcomes fired;
+    dev.offload(100, 0, recordInto(eq, fired));
     eq.runAll();
-    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(fired.calls, 1);
+    EXPECT_FALSE(fired.delivered);
+    EXPECT_EQ(fired.at, 100u); // lost when service ends
     EXPECT_EQ(dev.stats().served, 1u);
     EXPECT_EQ(dev.stats().droppedResponses, 1u);
+    EXPECT_EQ(dev.liveRecords(), 0u);
 }
 
 TEST(Accelerator, LateResponseDelaysTheCallback)
@@ -194,11 +217,14 @@ TEST(Accelerator, LateResponseDelaysTheCallback)
     plan->lateDelayCycles = 700;
     cfg.faultPlan = plan;
     Accelerator dev(eq, cfg);
-    sim::Tick done = 0;
-    dev.offload(100, 0, [&] { done = eq.now(); });
+    Outcomes fired;
+    dev.offload(100, 0, recordInto(eq, fired));
     eq.runAll();
-    EXPECT_EQ(done, 100u + 700u);
+    EXPECT_EQ(fired.calls, 1);
+    EXPECT_TRUE(fired.delivered);
+    EXPECT_EQ(fired.at, 100u + 700u);
     EXPECT_EQ(dev.stats().lateResponses, 1u);
+    EXPECT_EQ(dev.liveRecords(), 0u);
 }
 
 TEST(Accelerator, TransferSpikeMultipliesDeviceSideTransferOnly)
@@ -213,7 +239,7 @@ TEST(Accelerator, TransferSpikeMultipliesDeviceSideTransferOnly)
     sim::EventQueue eq;
     Accelerator dev(eq, cfg);
     sim::Tick done = 0;
-    dev.offload(100, 0, [&] { done = eq.now(); });
+    dev.offload(100, 0, [&](bool) { done = eq.now(); });
     eq.runAll();
     EXPECT_EQ(done, 500u + 100u); // spiked transfer + service
     EXPECT_EQ(dev.stats().spikedTransfers, 1u);
@@ -223,7 +249,7 @@ TEST(Accelerator, TransferSpikeMultipliesDeviceSideTransferOnly)
     sim::EventQueue eq2;
     Accelerator dev2(eq2, cfg);
     sim::Tick done2 = 0;
-    dev2.offload(100, 0, [&] { done2 = eq2.now(); },
+    dev2.offload(100, 0, [&](bool) { done2 = eq2.now(); },
                  /*transferPaidByHost=*/true);
     eq2.runAll();
     EXPECT_EQ(done2, 100u);
@@ -239,7 +265,7 @@ TEST(Accelerator, StallWindowDefersServiceToWindowEnd)
     sim::EventQueue eq;
     Accelerator dev(eq, cfg);
     sim::Tick done = 0;
-    dev.offload(100, 0, [&] { done = eq.now(); });
+    dev.offload(100, 0, [&](bool) { done = eq.now(); });
     eq.runAll();
     EXPECT_EQ(done, 1000u + 100u);
     EXPECT_GE(dev.stats().stallDeferrals, 1u);
@@ -255,18 +281,21 @@ TEST(Accelerator, DeviceFailureDiscardsArrivalsUntilRecovery)
     cfg.faultPlan = plan;
     sim::EventQueue eq;
     Accelerator dev(eq, cfg);
-    int fired = 0;
-    dev.offload(100, 0, [&] { ++fired; }); // arrives dead -> lost
+    Outcomes fired;
+    dev.offload(100, 0, recordInto(eq, fired)); // arrives dead -> lost
     eq.runAll();
-    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(fired.calls, 1);
+    EXPECT_FALSE(fired.delivered);
     EXPECT_EQ(dev.stats().lostToDeviceFailure, 1u);
 
     eq.runUntil(6000); // past recovery
     sim::Tick done = 0;
-    dev.offload(100, 0, [&] { done = eq.now(); });
+    dev.offload(100, 0, [&](bool) { done = eq.now(); });
     eq.runAll();
     EXPECT_EQ(done, 6000u + 100u);
     EXPECT_EQ(dev.stats().served, 1u);
+    EXPECT_EQ(fired.calls, 1);
+    EXPECT_EQ(dev.liveRecords(), 0u);
 }
 
 TEST(Accelerator, FailureMidServiceLosesInFlightCompletions)
@@ -277,12 +306,38 @@ TEST(Accelerator, FailureMidServiceLosesInFlightCompletions)
     cfg.faultPlan = plan;
     sim::EventQueue eq;
     Accelerator dev(eq, cfg);
-    int fired = 0;
-    dev.offload(100, 0, [&] { ++fired; }); // service 0..100
+    Outcomes fired;
+    dev.offload(100, 0, recordInto(eq, fired)); // service 0..100
     eq.runAll();
-    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(fired.calls, 1);
+    EXPECT_FALSE(fired.delivered);
+    EXPECT_EQ(fired.at, 100u); // lost when service would have ended
     EXPECT_EQ(dev.stats().lostToDeviceFailure, 1u);
     EXPECT_EQ(dev.stats().served, 0u);
+    EXPECT_EQ(dev.liveRecords(), 0u);
+}
+
+TEST(Accelerator, ResetReportsEveryQueuedOffloadLostOnce)
+{
+    // One channel, three offloads: the first is in service and the
+    // other two queue behind it when the device fails at tick 50. The
+    // reset loses all three, each reported false exactly once.
+    AcceleratorConfig cfg;
+    auto plan = std::make_shared<faults::FaultPlan>();
+    plan->deviceFailAtTick = 50;
+    cfg.faultPlan = plan;
+    sim::EventQueue eq;
+    Accelerator dev(eq, cfg);
+    std::vector<Outcomes> fired(3);
+    for (Outcomes &out : fired)
+        dev.offload(100, 0, recordInto(eq, out));
+    eq.runAll();
+    for (const Outcomes &out : fired) {
+        EXPECT_EQ(out.calls, 1);
+        EXPECT_FALSE(out.delivered);
+    }
+    EXPECT_EQ(dev.stats().lostToDeviceFailure, 3u);
+    EXPECT_EQ(dev.liveRecords(), 0u);
 }
 
 TEST(Accelerator, InertPlanIsDroppedAtConstruction)
@@ -298,7 +353,7 @@ TEST(Accelerator, InertPlanIsDroppedAtConstruction)
         Accelerator dev(eq, cfg);
         std::vector<sim::Tick> done;
         for (int i = 0; i < 4; ++i)
-            dev.offload(100, 10, [&] { done.push_back(eq.now()); });
+            dev.offload(100, 10, [&](bool) { done.push_back(eq.now()); });
         eq.runAll();
         return std::make_pair(done, eq.processed());
     };
@@ -320,7 +375,10 @@ TEST(Accelerator, FaultReplayIsDeterministic)
         Accelerator dev(eq, cfg);
         std::vector<sim::Tick> done;
         for (int i = 0; i < 200; ++i)
-            dev.offload(50, 0, [&] { done.push_back(eq.now()); });
+            dev.offload(50, 0, [&](bool delivered) {
+                if (delivered)
+                    done.push_back(eq.now());
+            });
         eq.runAll();
         return std::make_tuple(done, dev.stats().droppedResponses,
                                dev.stats().lateResponses);

@@ -64,13 +64,53 @@ driveOffloads(sim::EventQueue &eq, Target &target, int count,
     for (int i = 0; i < count; ++i) {
         eq.schedule(i * spacing, [&, i] {
             target.offload(400.0 + i, 100.0 + i,
-                           [&eq, &completed, i] {
-                               completed[i] = eq.now();
+                           [&eq, &completed, i](bool delivered) {
+                               if (delivered)
+                                   completed[i] = eq.now();
                            });
         });
     }
     eq.runAll();
     return completed;
+}
+
+/** An outcome callback that counts delivered responses into @p n. */
+OffloadCallback
+countDelivered(int &n)
+{
+    return [&n](bool delivered) {
+        if (delivered)
+            ++n;
+    };
+}
+
+/** Outcomes one offload reported: how often, and the last one. */
+struct Outcomes
+{
+    int calls = 0;
+    bool delivered = false;
+    sim::Tick at = 0;
+};
+
+/** An outcome callback that records into @p out. */
+OffloadCallback
+recordInto(sim::EventQueue &eq, Outcomes &out)
+{
+    return [&eq, &out](bool delivered) {
+        ++out.calls;
+        out.delivered = delivered;
+        out.at = eq.now();
+    };
+}
+
+/** Records the tier and its replicas still hold. */
+size_t
+liveRecords(const AcceleratorTier &t)
+{
+    size_t n = t.liveRecords();
+    for (size_t r = 0; r < t.replicaCount(); ++r)
+        n += t.replica(r).liveRecords();
+    return n;
 }
 
 /** Assert @p fn throws FatalError whose message names @p field. */
@@ -190,11 +230,13 @@ TEST(AcceleratorTier, HedgeWinSettlesAndCountsDuplicate)
 
     sim::EventQueue eq;
     AcceleratorTier t(eq, device(), tier);
-    int completions = 0;
-    t.offload(400, 100, [&] { ++completions; });
+    Outcomes fired;
+    t.offload(400, 100, recordInto(eq, fired));
     eq.runAll();
 
-    EXPECT_EQ(completions, 1); // onComplete fires exactly once
+    EXPECT_EQ(fired.calls, 1); // onComplete fires exactly once
+    EXPECT_TRUE(fired.delivered);
+    EXPECT_EQ(fired.at, 100u + 60u + 100u); // the hedge's answer
     const TierStats &s = t.stats();
     EXPECT_EQ(s.offloads, 1u);
     EXPECT_EQ(s.hedgesIssued, 1u);
@@ -206,6 +248,101 @@ TEST(AcceleratorTier, HedgeWinSettlesAndCountsDuplicate)
     EXPECT_EQ(s.replicas[0].duplicates, 1u);
     EXPECT_EQ(s.replicas[1].wins, 1u);
     EXPECT_EQ(eq.activeTimers(), 0u);
+    // The duplicate was counted after settlement, then both records
+    // went back to their pools.
+    EXPECT_EQ(liveRecords(t), 0u);
+}
+
+TEST(AcceleratorTier, FullyLostOffloadReportsFalseOnceAfterLastWatchdog)
+{
+    // Both replicas are dead. The primary (r0) and the hedge (r1) are
+    // lost as their transfers arrive, at 60 and 160. r0's watchdog at
+    // 1000 fails over to r1, also lost; the hedge's watchdog at 1100
+    // and the failover's at 2000 find failover exhausted. Only then,
+    // with no attempt, watchdog or hedge timer left, does the offload
+    // report its loss, once.
+    TierConfig tier;
+    tier.replicas = 2;
+    tier.policy = DispatchPolicy::RoundRobin;
+    tier.hedge.enabled = true;
+    tier.hedge.delayCycles = 100;
+    tier.healthTimeoutCycles = 1000;
+    tier.maxFailovers = 1;
+    tier.replicaFaultPlans = {deadPlan(), deadPlan()};
+
+    sim::EventQueue eq;
+    AcceleratorTier t(eq, device(), tier);
+    Outcomes fired;
+    t.offload(400, 100, recordInto(eq, fired));
+    eq.runUntil(1999);
+    EXPECT_EQ(fired.calls, 0) << "a watchdog is still pending";
+    eq.runAll();
+
+    EXPECT_EQ(fired.calls, 1);
+    EXPECT_FALSE(fired.delivered);
+    EXPECT_EQ(fired.at, 2000u);
+    EXPECT_EQ(t.stats().watchdogExpiries, 3u);
+    EXPECT_EQ(t.stats().failovers, 1u);
+    EXPECT_EQ(t.stats().failoversExhausted, 2u);
+    EXPECT_EQ(t.aggregateDeviceStats().lostToDeviceFailure, 3u);
+    EXPECT_EQ(liveRecords(t), 0u);
+}
+
+TEST(AcceleratorTier, LostOffloadWaitsForItsHedgeTimer)
+{
+    // No watchdogs: the primary is lost at 60, but the hedge timer at
+    // 100 can still issue an attempt, so the offload stays open until
+    // that attempt is lost too, at 160.
+    TierConfig tier;
+    tier.replicas = 2;
+    tier.hedge.enabled = true;
+    tier.hedge.delayCycles = 100;
+    tier.replicaFaultPlans = {deadPlan(), deadPlan()};
+
+    sim::EventQueue eq;
+    AcceleratorTier t(eq, device(), tier);
+    Outcomes fired;
+    t.offload(400, 100, recordInto(eq, fired));
+    eq.runAll();
+
+    EXPECT_EQ(fired.calls, 1);
+    EXPECT_FALSE(fired.delivered);
+    EXPECT_EQ(fired.at, 160u);
+    EXPECT_EQ(t.stats().hedgesIssued, 1u);
+    EXPECT_EQ(liveRecords(t), 0u);
+}
+
+TEST(AcceleratorTier, SettledOffloadNeverReportsFalse)
+{
+    // The primary settles at 260 (60 transfer, 100 service, 100 late).
+    // The hedge issued at 100 has a 10x transfer spike, so r1 serves it
+    // from 700 to 800 and then drops its response: a loss after
+    // settlement, which the caller never hears about.
+    auto lossy = std::make_shared<faults::FaultPlan>();
+    lossy->seed = 3;
+    lossy->dropProbability = 1.0;
+    lossy->transferSpikeProbability = 1.0;
+    lossy->transferSpikeFactor = 10.0;
+    TierConfig tier;
+    tier.replicas = 2;
+    tier.hedge.enabled = true;
+    tier.hedge.delayCycles = 100;
+    tier.replicaFaultPlans = {latePlan(100), lossy};
+
+    sim::EventQueue eq;
+    AcceleratorTier t(eq, device(), tier);
+    Outcomes fired;
+    t.offload(400, 100, recordInto(eq, fired));
+    eq.runAll();
+
+    EXPECT_EQ(fired.calls, 1);
+    EXPECT_TRUE(fired.delivered);
+    EXPECT_EQ(fired.at, 260u);
+    EXPECT_EQ(eq.now(), 800u); // the hedge's loss came later
+    EXPECT_EQ(t.replica(1).stats().droppedResponses, 1u);
+    EXPECT_EQ(t.stats().hedgeLosses, 1u);
+    EXPECT_EQ(t.stats().duplicateCompletions, 0u);
+    EXPECT_EQ(liveRecords(t), 0u);
 }
 
 TEST(AcceleratorTier, PrimaryWinAfterHedgeCountsHedgeLoss)
@@ -221,7 +358,7 @@ TEST(AcceleratorTier, PrimaryWinAfterHedgeCountsHedgeLoss)
     sim::EventQueue eq;
     AcceleratorTier t(eq, device(), tier);
     int completions = 0;
-    t.offload(400, 100, [&] { ++completions; });
+    t.offload(400, 100, countDelivered(completions));
     eq.runAll();
 
     EXPECT_EQ(completions, 1);
@@ -246,7 +383,7 @@ TEST(AcceleratorTier, FastPrimaryCancelsHedgeTimer)
     sim::EventQueue eq;
     AcceleratorTier t(eq, device(), tier);
     int completions = 0;
-    t.offload(400, 100, [&] { ++completions; });
+    t.offload(400, 100, countDelivered(completions));
     eq.runAll();
 
     EXPECT_EQ(completions, 1);
@@ -279,7 +416,7 @@ TEST(AcceleratorTier, EjectionReadmissionLifecycle)
     auto issue = [&](sim::Tick when, int n) {
         eq.schedule(when, [&t, &completions, n] {
             for (int i = 0; i < n; ++i)
-                t.offload(400, 100, [&completions] { ++completions; });
+                t.offload(400, 100, countDelivered(completions));
         });
     };
 
@@ -331,8 +468,8 @@ TEST(AcceleratorTier, LateCompletionDoesNotRepairHealth)
     int completions = 0;
     for (int i = 0; i < 2; ++i) {
         eq.schedule(i * 2000, [&] {
-            t.offload(400, 100, [&completions] { ++completions; });
-            t.offload(400, 100, [&completions] { ++completions; });
+            t.offload(400, 100, countDelivered(completions));
+            t.offload(400, 100, countDelivered(completions));
         });
     }
     eq.runUntil(20000);
@@ -355,12 +492,12 @@ TEST(AcceleratorTier, LeastOutstandingPicksIdleReplica)
     AcceleratorTier t(eq, device(), tier);
     // Same tick, no completions yet: ties keep the lowest index, then
     // the load-balancing kicks in.
-    t.offload(400, 100, [] {});
+    t.offload(400, 100, [](bool) {});
     EXPECT_EQ(t.outstanding(0), 1u);
     EXPECT_EQ(t.outstanding(1), 0u);
-    t.offload(400, 100, [] {});
+    t.offload(400, 100, [](bool) {});
     EXPECT_EQ(t.outstanding(1), 1u);
-    t.offload(400, 100, [] {});
+    t.offload(400, 100, [](bool) {});
     EXPECT_EQ(t.outstanding(0), 2u);
     EXPECT_EQ(t.outstanding(1), 1u);
     eq.runAll();
@@ -503,8 +640,8 @@ TEST(AcceleratorTier, ScaleDownDrainsInFlightOffloads)
     sim::EventQueue eq;
     AcceleratorTier t(eq, device(), tier);
     int completions = 0;
-    t.offload(400, 100, [&] { ++completions; }); // -> r0
-    t.offload(400, 100, [&] { ++completions; }); // -> r1
+    t.offload(400, 100, countDelivered(completions)); // -> r0
+    t.offload(400, 100, countDelivered(completions)); // -> r1
 
     eq.schedule(50, [&] { // both offloads complete at tick 160
         t.setActiveReplicas(1);
@@ -513,7 +650,7 @@ TEST(AcceleratorTier, ScaleDownDrainsInFlightOffloads)
         EXPECT_EQ(t.provisionedReplicaCount(), 2u);
         EXPECT_EQ(t.activeReplicaCount(), 1u);
         // New work while r1 drains must route to r0 despite its load.
-        t.offload(400, 100, [&] { ++completions; });
+        t.offload(400, 100, countDelivered(completions));
         EXPECT_EQ(t.outstanding(0), 2u);
         EXPECT_EQ(t.outstanding(1), 1u);
     });
@@ -542,7 +679,7 @@ TEST(AcceleratorTier, ScaleDownSettlesRacingHedge)
     sim::EventQueue eq;
     AcceleratorTier t(eq, device(), tier);
     int completions = 0;
-    t.offload(400, 100, [&] { ++completions; }); // slow primary on r0
+    t.offload(400, 100, countDelivered(completions)); // slow primary on r0
     // t=100: hedge issues to r1. t=150: r1 becomes the scale-down
     // victim with the hedge attempt still in flight.
     eq.schedule(150, [&] {
@@ -579,7 +716,7 @@ TEST(AcceleratorTier, ScaleDownWinsRaceWithPendingReadmission)
     auto issue = [&](sim::Tick when, int n) {
         eq.schedule(when, [&t, &completions, n] {
             for (int i = 0; i < n; ++i)
-                t.offload(400, 100, [&completions] { ++completions; });
+                t.offload(400, 100, countDelivered(completions));
         });
     };
     issue(0, 2);    // r1 watchdog failure 1 at tick 1000
@@ -621,8 +758,8 @@ TEST(AcceleratorTier, ScaleUpReactivatesStandbyWithFreshHealth)
     EXPECT_EQ(t.stats().activations, 1u);
 
     int completions = 0;
-    t.offload(400, 100, [&] { ++completions; });
-    t.offload(400, 100, [&] { ++completions; });
+    t.offload(400, 100, countDelivered(completions));
+    t.offload(400, 100, countDelivered(completions));
     EXPECT_EQ(t.outstanding(1), 1u); // reactivated and dispatchable
     eq.runAll();
     EXPECT_EQ(completions, 2);
@@ -640,8 +777,8 @@ TEST(AcceleratorTier, GrowReactivatesDrainingVictimInPlace)
     sim::EventQueue eq;
     AcceleratorTier t(eq, device(), tier);
     int completions = 0;
-    t.offload(400, 100, [&] { ++completions; });
-    t.offload(400, 100, [&] { ++completions; });
+    t.offload(400, 100, countDelivered(completions));
+    t.offload(400, 100, countDelivered(completions));
     eq.schedule(50, [&] {
         t.setActiveReplicas(1);
         EXPECT_TRUE(t.replicaDraining(1));

@@ -88,7 +88,7 @@ TEST(Logging, RateLimitedWarnerPrintsFirstNThenSuppresses)
     RateLimitedWarner w("flaky device", /*firstN=*/2);
     testing::internal::CaptureStderr();
     for (int i = 0; i < 5; ++i)
-        w.warn("event " + std::to_string(i));
+        w.warn([i] { return "event " + std::to_string(i); });
     std::string err = testing::internal::GetCapturedStderr();
     EXPECT_NE(err.find("flaky device: event 0"), std::string::npos);
     EXPECT_NE(err.find("flaky device: event 1"), std::string::npos);
@@ -104,7 +104,7 @@ TEST(Logging, RateLimitedWarnerFlushReportsAndResetsSuppressed)
     RateLimitedWarner w("retry", /*firstN=*/1);
     testing::internal::CaptureStderr();
     for (int i = 0; i < 4; ++i)
-        w.warn("x");
+        w.warn([] { return std::string("x"); });
     w.flushSummary();
     std::string err = testing::internal::GetCapturedStderr();
     EXPECT_NE(err.find("retry: suppressed 3 similar warning(s)"),
@@ -125,7 +125,7 @@ TEST(Logging, RateLimitedWarnerCountsEvenWhenSilenced)
     LogLevel prev = setLogLevel(LogLevel::Silent);
     RateLimitedWarner w("quiet", 3);
     for (int i = 0; i < 10; ++i)
-        w.warn("x");
+        w.warn([] { return std::string("x"); });
     EXPECT_EQ(w.occurrences(), 10u);
     EXPECT_EQ(w.suppressed(), 7u);
     setLogLevel(prev);
